@@ -44,12 +44,11 @@ def cmd_extract(args) -> int:
     ray = _ray_session(args.cpus)
     from pdf_extractor_ray.state.manifest import run_partitioned_extraction
 
-    batch_size, use_actor_pool = args.batch_size, args.actor_pool
+    batch_size = args.batch_size
     if args.config:  # JSON config file overrides flags (S7 surface)
         from pdf_extractor_ray.config import PipelineConfig
 
-        cfg = PipelineConfig.from_json(args.config)
-        batch_size, use_actor_pool = cfg.batch_size, cfg.use_actor_pool
+        batch_size = PipelineConfig.from_json(args.config).batch_size
 
     paths = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else [args.input]
     if not paths:
@@ -59,10 +58,7 @@ def cmd_extract(args) -> int:
         paths,
         args.output,
         files_per_partition=args.files_per_partition,
-        concurrency=(1, 8) if not args.cpus else (1, max(2, args.cpus // 3)),
         batch_size=batch_size,
-        use_actor_pool=use_actor_pool,
-        bucket_routing=args.bucket_routing,
     )
     print(json.dumps(summary))
     ray.shutdown()
@@ -199,9 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--files-per-partition", type=int, default=1)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--cpus", type=int, default=None)
-    p.add_argument("--actor-pool", action="store_true", help="stateful actor-pool PDF branch")
-    p.add_argument("--bucket-routing", action="store_true", help="size-bucket skew isolation")
-    p.add_argument("--config", default=None, help="JSON config file (overrides batch/pool flags)")
+    p.add_argument("--config", default=None, help="JSON config file (overrides --batch-size)")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("train", help="build + validate training data and run a fine-tune job")

@@ -4,10 +4,9 @@ The reference loads a validated JSON config before running
 (``pdf_extractor/config/extraction_config.py:15-28``: pydantic model,
 missing-file / bad-JSON → ``ValueError``). The Ray analog carries the
 pipeline knobs a deployment would pin per environment — batch size,
-actor-pool concurrency, execution shape, the field-extraction schema,
-and the scorer backend name — and builds the extraction pipeline from
-them, so a config file fully describes a run the way the reference's
-``ExtractionConfig`` + sheet schema did.
+the field-extraction schema, and the scorer backend name — and builds
+the extraction pipeline from them, so a config file fully describes a
+run the way the reference's ``ExtractionConfig`` + sheet schema did.
 
 No pydantic here (stdlib only): validation is explicit, and every
 failure raises ``ValueError`` with the offending key, matching the
@@ -28,15 +27,12 @@ class PipelineConfig:
     """Validated run configuration."""
 
     batch_size: int = 256
-    concurrency: int | None = None  # None → fused task stage
-    use_actor_pool: bool = False
     fields: list[dict] = field(default_factory=list)  # FieldSpec kwargs
     scorer_backend: str = "fake"  # only offline backend shipped here
     min_training_examples: int = 10
 
     _ALLOWED = {
-        "batch_size", "concurrency", "use_actor_pool", "fields",
-        "scorer_backend", "min_training_examples",
+        "batch_size", "fields", "scorer_backend", "min_training_examples",
     }
 
     @classmethod
@@ -49,10 +45,6 @@ class PipelineConfig:
         cfg = cls(**data)
         if not isinstance(cfg.batch_size, int) or cfg.batch_size <= 0:
             raise ValueError(f"batch_size must be a positive int, got {cfg.batch_size!r}")
-        if cfg.concurrency is not None and (
-            not isinstance(cfg.concurrency, int) or cfg.concurrency <= 0
-        ):
-            raise ValueError(f"concurrency must be a positive int or null, got {cfg.concurrency!r}")
         for i, f in enumerate(cfg.fields):
             if not isinstance(f, dict) or "key" not in f:
                 raise ValueError(f"fields[{i}] must be an object with a 'key'")
@@ -86,12 +78,7 @@ class PipelineConfig:
         """Extraction pipeline per this config (lazy Dataset)."""
         from pdf_extractor_ray.pipelines.flagship import build_extraction_pipeline
 
-        return build_extraction_pipeline(
-            paths,
-            concurrency=self.concurrency,
-            batch_size=self.batch_size,
-            use_actor_pool=self.use_actor_pool,
-        )
+        return build_extraction_pipeline(paths, batch_size=self.batch_size)
 
     def build_extraction_with_fields(self, paths: str | list[str]) -> ray.data.Dataset:
         """Extraction + schema-driven field stage when fields are

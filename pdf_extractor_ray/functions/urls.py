@@ -12,6 +12,7 @@ pipeline layer is ``pipelines.urlops``.
 
 from __future__ import annotations
 
+import re
 from urllib.parse import parse_qsl, urlencode, urlsplit
 
 # Query parameters that never change page content (analytics /
@@ -446,12 +447,18 @@ def _remove_dot_segments(path: str) -> str:
     return res
 
 
+# RFC 3986 §3.1: scheme = ALPHA *( ALPHA / DIGIT / "+" / "-" / "." ) ":"
+_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
+
+
 def resolve_url(base: str, href: str) -> str:
     """RFC 3986 §5 reference resolution — the step that turns a page's
     raw ``href`` attributes into crawlable absolute URLs (base = the
     page URL, or its ``<base href>`` when declared):
 
-    - absolute refs (with scheme) pass through;
+    - absolute refs (any ``scheme:`` prefix, RFC 3986 §3.1) pass
+      through, non-hierarchical ones (``mailto:``, ``javascript:``)
+      included;
     - ``//host/...`` inherits the base scheme (protocol-relative);
     - ``/path`` replaces the base path; relative paths merge onto the
       base directory; ``.``/``..`` segments resolve (§5.2.4);
@@ -463,11 +470,7 @@ def resolve_url(base: str, href: str) -> str:
     around ``..`` overflow differ across versions; this is pinned)."""
     if not href:
         return base.split("#", 1)[0]
-    if "://" in href.split("/", 1)[0] if "/" in href else "://" in href:
-        return href
-    # cheap scheme sniff: letters+digits then ':' then '//'
-    head = href.split("://", 1)[0]
-    if "://" in href and head.replace("+", "").replace("-", "").replace(".", "").isalnum():
+    if _SCHEME_RE.match(href):
         return href
     scheme = base.split("://", 1)[0] if "://" in base else "https"
     rest = base.split("://", 1)[-1]

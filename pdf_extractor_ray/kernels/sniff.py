@@ -9,8 +9,8 @@ single pipeline handles mixed Common-Crawl-style content.
 from __future__ import annotations
 
 # Size-bucket upper bounds in bytes; the last bucket is open-ended.
-# Buckets drive batch sizing / skew isolation (SURVEY.md §4.3): mega-docs
-# must not share a batch with thousands of small docs.
+# Buckets label each output row (``size_bucket``) so metrics and reports
+# can split latency and counts by size (SURVEY.md §4.3).
 SIZE_BUCKET_BOUNDS = (16 * 1024, 256 * 1024, 4 * 1024 * 1024)
 
 KIND_PDF = "pdf"
@@ -42,18 +42,23 @@ def sniff(raw: bytes | None) -> str:
         probe = head.decode(codec, errors="replace").lower()
         if any(m in probe for m in _HTML_MARKERS_STR):
             return KIND_HTML
+    # NUL before the raw markers: no text page carries one (UTF-16 pages
+    # do, and were decided by the BOM probe above), so a binary blob
+    # that happens to hold '<p>' near its start is not mistaken for HTML.
+    if b"\x00" in head:
+        return KIND_BINARY
     low = head.lower()
     if any(m.lower() in low for m in _HTML_MARKERS):
         return KIND_HTML
-    # printable-utf8 heuristic; a multi-byte char straddling the 512-byte
-    # probe boundary is NOT binary (error within the last 3 bytes)
+    # printable-utf8 heuristic, AFTER the markers: legacy-charset HTML
+    # (windows-1252, Shift_JIS, ...) is invalid UTF-8 yet decodes via
+    # decode_html_bytes. A multi-byte char straddling the 512-byte probe
+    # boundary is NOT binary (error within the last 3 bytes).
     try:
         head.decode("utf-8")
     except UnicodeDecodeError as e:
         if e.start < len(head) - 3:
             return KIND_BINARY
-    if b"\x00" in head:
-        return KIND_BINARY
     return KIND_TEXT
 
 

@@ -4,11 +4,10 @@
       → map_batches(extract_all_batch, pyarrow)  # fused sniff + dispatch + extract
       → [consume: write_parquet / aggregate / iter_batches]
 
-Three execution shapes are available (all row-identical, tested):
-fused tasks (default, fastest — see the builder docstring for the
-measured rationale), `use_actor_pool=True` (HTML tasks ∥ stateful PDF
-actor pool, branch+union), and `bucket_routing=True` (per-size-bucket
-branches with bucket-scaled batch sizes for heavy-tailed corpora).
+One execution shape: a single fused task stage over one scan of the
+input. It won every measurement against the two shapes it replaced
+(an HTML-task ∥ PDF-actor-pool branch+union, and per-size-bucket
+branches); see ``BENCH/BASELINE.md``.
 
 At 100 TB: this pipeline is embarrassingly parallel (no shuffle at
 all); throughput scales with workers × per-doc parse speed, and the
@@ -19,118 +18,44 @@ BENCH/BASELINE.md).
 
 from __future__ import annotations
 
+import ray
 import ray.data
 
-from pdf_extractor_ray.stages.extract import ExtractPages, sniff_batch
+from pdf_extractor_ray.stages.extract import extract_all_batch
 
 
 def build_extraction_pipeline(
     paths: str | list[str],
     *,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int = 256,
-    override_num_blocks: int | None = None,
-    use_actor_pool: bool = False,
-    bucket_routing: bool = False,
     metrics_collector=None,
 ) -> ray.data.Dataset:
     """Lazy extraction Dataset over pages parquet. Caller consumes it
     (write_parquet / iter_batches); nothing is materialized here.
 
-    Two execution shapes, measured at 100k docs / 32 CPUs on this host:
+    ONE fused task stage (sniff + dispatch + extract per batch), ~30k
+    docs/s at 100k docs / 32 CPUs. Parser state is module-level
+    (compiled regexes) and Ray reuses worker processes across tasks, so
+    state IS pinned per worker — the north-rule intent — without the
+    actor-pool dispatch path, which in Ray 2.49 measured ~45% slower
+    for per-document CPU work. Mega-documents are absorbed by Ray's
+    dynamic block splitting, not by per-size-bucket branches.
 
-    - default (``use_actor_pool=False``): ONE fused task stage
-      (sniff + dispatch + extract per batch) — ~30k docs/s. Parser
-      state here is module-level (compiled regexes), and Ray reuses
-      worker processes across tasks, so state IS pinned per worker —
-      the north-rule intent — without the actor-pool dispatch path,
-      which in Ray 2.49 measures ~45% slower (~19k docs/s) for
-      per-document CPU work.
-    - ``use_actor_pool=True``: branch + union — HTML/text rows in
-      elastic stateless tasks, the ~15% PDF rows early-projected into
-      the stateful ``ExtractPages`` actor pool (~14k docs/s end to end;
-      the input is scanned once per branch). This is the right shape
-      when per-worker state is heavyweight and exclusive (a model
-      handle, a native parser arena) rather than cheap compiled
-      regexes.
-
-    Output is row-identical between both shapes (tested).
+    ``metrics_collector`` is a ``state.metrics`` collector handle; each
+    batch reports per-worker docs/bytes/failures/seconds to it.
     """
-    import ray as _ray
-
-    from pdf_extractor_ray.stages.extract import (
-        ExtractPages,
-        PdfExtractActor,
-        extract_non_pdf_batch,
-        project_pdf_rows,
-        sniff_batch,  # noqa: F401  (re-exported for callers)
-    )
-
-    ncpu = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-    if override_num_blocks is None:
-        override_num_blocks = max(ncpu * 4, 16)
+    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     ds = ray.data.read_parquet(
         paths,
         columns=["url", "html"],  # prune: warc_ts/text/lang unused by extraction
-        override_num_blocks=override_num_blocks,
+        override_num_blocks=max(ncpu * 4, 16),
     )
-    if bucket_routing:
-        # explicit skew isolation: route size buckets into separate
-        # branches with bucket-scaled batch sizes (mega-docs get
-        # batch_size=1 so one giant page never head-of-line-blocks a
-        # batch of small ones). Costs one extra scan per branch; use
-        # when the corpus has a heavy tail. The default single-stage
-        # path relies on Ray's dynamic block splitting instead.
-        import pyarrow.compute as _pc
-
-        from pdf_extractor_ray.kernels.sniff import SIZE_BUCKET_BOUNDS
-        from pdf_extractor_ray.stages.extract import extract_all_batch, sniff_batch
-
-        sniffed = ds.map_batches(sniff_batch, batch_format="pyarrow")
-        branches = []
-        bucket_batch = {0: batch_size, 1: max(16, batch_size // 4), 2: 4, 3: 1}
-        for bucket in range(len(SIZE_BUCKET_BOUNDS) + 1):
-            branch = sniffed.map_batches(
-                lambda t, b=bucket: t.filter(_pc.equal(t.column("size_bucket"), b)).select(
-                    ["url", "html"]
-                ),
-                batch_format="pyarrow",
-            ).map_batches(
-                extract_all_batch, batch_format="pyarrow", batch_size=bucket_batch[bucket]
-            )
-            branches.append(branch)
-        out = branches[0]
-        for b in branches[1:]:
-            out = out.union(b)
-        return out
-
-    if not use_actor_pool:
-        from pdf_extractor_ray.stages.extract import extract_all_batch
-
-        return ds.map_batches(
-            extract_all_batch,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            fn_kwargs={"metrics_collector": metrics_collector},
-        )
-
-    if concurrency is None:
-        # PDF rows are a minority (~15% of a crawl): a small pool
-        # suffices and leaves the CPUs to the elastic HTML task branch.
-        concurrency = (1, max(2, ncpu // 3))
-    html_branch = ds.map_batches(
-        extract_non_pdf_batch, batch_format="pyarrow", batch_size=batch_size
-    )
-    pdf_branch = ds.map_batches(project_pdf_rows, batch_format="pyarrow").map_batches(
-        PdfExtractActor,
+    return ds.map_batches(
+        extract_all_batch,
         batch_format="pyarrow",
-        batch_size=max(32, batch_size // 4),
-        concurrency=concurrency,
-        max_restarts=0,  # spurious ctor-arg restart error otherwise (ray#53727)
-        num_cpus=1,
-        fn_constructor_kwargs={"metrics_collector": metrics_collector},
+        batch_size=batch_size,
+        fn_kwargs={"metrics_collector": metrics_collector},
     )
-    return html_branch.union(pdf_branch)
 
 
 def extraction_summary(ds: ray.data.Dataset) -> ray.data.Dataset:

@@ -44,13 +44,6 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-try:  # real codecs, absent in this container
-    import PIL.Image  # noqa: F401
-
-    HAVE_PIL = True
-except ImportError:
-    HAVE_PIL = False
-
 MEDIA_SCHEMA = pa.schema(
     [
         ("media_id", pa.int64()),
@@ -102,8 +95,7 @@ def _parse_pnm_header(payload: bytes) -> tuple[str, int, int, int, int]:
 
 def decode_pnm(payload: bytes) -> dict:
     """REAL image decode for the binary netpbm family — P5 (grayscale
-    PGM) and P6 (RGB PPM) — in pure numpy; no codec library needed.
-    The PIL-gated path below remains the slot for compressed formats."""
+    PGM) and P6 (RGB PPM) — in pure numpy; no codec library needed."""
     magic, w, h, maxval, off = _parse_pnm_header(payload)
     channels = {"P5": 1, "P6": 3}.get(magic)
     if channels is None:
@@ -680,8 +672,6 @@ def decode_image(payload: bytes) -> dict:
         return decode_bmp(payload)
     if payload[:2] == b"\xff\xd8":
         return decode_jpeg_features(payload)
-    if HAVE_PIL:  # pragma: no cover
-        raise NotImplementedError("compressed-format decode via PIL not wired")
     raise ValueError("bad image magic")
 
 

@@ -23,7 +23,7 @@ import pyarrow as pa
 import ray.data
 
 from pdf_extractor_ray.functions.exact import WS_SPLIT_RE_SQL, trim_ws_sql
-from pdf_extractor_ray.stages.extract import ExtractPages, sniff_batch
+from pdf_extractor_ray.stages.extract import extract_all_batch
 from pdf_extractor_ray.sources.pages import make_pdf, wrap_in_boilerplate
 
 
@@ -81,24 +81,10 @@ def pages_from_documents(sf_dir: str) -> ray.data.Dataset:
     return ds.map_batches(derive, batch_format="pandas", batch_size=1024)
 
 
-def extract_documents(sf_dir: str, concurrency=None, batch_size: int = 256) -> ray.data.Dataset:
-    """The flagship pipeline over derived pages; returns the full
-    extraction table (url, kind, status, extracted_text, ...). Uses the
-    fused task shape (see pipelines.flagship for the measured
-    rationale); pass ``concurrency`` to force the actor-pool stage."""
-    from pdf_extractor_ray.stages.extract import extract_all_batch
-
+def extract_documents(sf_dir: str, batch_size: int = 256) -> ray.data.Dataset:
+    """The flagship extraction stage over derived pages; returns the
+    full extraction table (url, kind, status, extracted_text, ...)."""
     pages = pages_from_documents(sf_dir)
-    if concurrency is not None:
-        pages = pages.map_batches(sniff_batch, batch_format="pyarrow")
-        return pages.map_batches(
-            ExtractPages,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            max_restarts=0,  # spurious ctor-arg restart error otherwise (ray#53727)
-            num_cpus=1,
-        )
     return pages.map_batches(extract_all_batch, batch_format="pyarrow", batch_size=batch_size)
 
 

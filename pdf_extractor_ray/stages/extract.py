@@ -1,98 +1,30 @@
-"""Ray Data stages for the flagship extraction pipeline.
+"""Ray Data stage for the flagship extraction pipeline.
 
-- ``sniff_batch``: stateless vectorized sniff + size-bucket columns
-  (cheap; lets downstream stages and metrics split by kind/bucket).
-- ``ExtractPages``: the stateful actor-pool stage. Parser state (compiled
-  regexes, per-actor counters) is pinned once per actor in ``__init__``
-  — the fix for the reference's per-document schema refetch
-  (``core/extractor.py:222-223``, see SURVEY.md §4.4.1) generalized:
-  *nothing* is re-initialized per batch.
+``extract_all_batch`` is the one extraction stage: stateless tasks that
+sniff, dispatch and extract every row of a ``(url, html)`` batch. Parser
+state (compiled regexes) is module-level and Ray reuses worker
+processes across tasks, so it is built once per worker, never per
+batch or per document — the fix for the reference's per-document
+schema refetch (``core/extractor.py:222-223``, see SURVEY.md §4.4.1).
 
 Batches are ``pyarrow`` (zero-copy in); per-document parsing is
-inherently per-row Python (same as any layout parser), but all
-column assembly is Arrow. Skew handling: the actor processes rows
-largest-first *within* a batch only as a no-op (order inside a batch is
-irrelevant); the real lever is upstream ``batch_size`` + size-bucket
-routing (see ``pipelines/flagship.py``).
+inherently per-row Python (same as any layout parser), but all column
+assembly is Arrow (``stages.schema.records_to_arrow``).
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from pdf_extractor_ray.kernels.record import extract_record
-from pdf_extractor_ray.kernels.sniff import SIZE_BUCKET_BOUNDS
 from pdf_extractor_ray.stages.schema import records_to_arrow
 
 
-def sniff_batch(batch: pa.Table) -> pa.Table:
-    """Add ``n_bytes`` and ``size_bucket`` columns (vectorized)."""
-    n_bytes = pc.binary_length(batch.column("html")).cast(pa.int64())
-    n_bytes = pc.coalesce(n_bytes, pa.scalar(0, pa.int64()))
-    nb = n_bytes.to_numpy(zero_copy_only=False)
-    buckets = np.digitize(nb, SIZE_BUCKET_BOUNDS).astype("int8")
-    out = batch.append_column("n_bytes", n_bytes)
-    out = out.append_column("size_bucket", pa.array(buckets, pa.int8()))
-    return out
-
-
-class ExtractPages:
-    """Actor-pool extraction stage: ``(url, html) batch → extraction batch``.
-
-    Use as ``ds.map_batches(ExtractPages, batch_format="pyarrow",
-    concurrency=N, batch_size=B, num_cpus=1)``. Handles every content
-    kind (single-stage pipeline variant).
-    """
-
-    def __init__(self, metrics_collector=None) -> None:
-        # Per-actor pinned state. The kernel modules compile their
-        # regexes at import; importing here forces that cost into actor
-        # init (once), not the first batch. Counters feed metrics.
-        import pdf_extractor_ray.kernels.pdf_extract  # noqa: F401
-        import pdf_extractor_ray.kernels.html_extract  # noqa: F401
-
-        self.metrics_collector = metrics_collector
-        self.docs = 0
-        self.bytes = 0
-        self.failures = 0
-        self.started = time.monotonic()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from pdf_extractor_ray.state.metrics import report
-
-        t0 = time.monotonic()
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        records = [extract_record(u, h) for u, h in zip(urls, htmls)]
-        n_bytes = sum(r["n_bytes"] for r in records)
-        failures = sum(1 for r in records if r["status"].startswith("quarantined"))
-        self.docs += len(records)
-        self.bytes += n_bytes
-        self.failures += failures
-        report(self.metrics_collector, "extract_actor", len(records), n_bytes, failures, time.monotonic() - t0)
-        return records_to_arrow(records)
-
-
-# ---------------------------------------------------------------------
-# Two-stage split (SURVEY.md §7.1), single scan, no union:
-#   stage 1 (stateless tasks)  — sniff + extract HTML/text rows, drop
-#     their payload bytes, forward PDF payloads untouched;
-#   stage 2 (stateful actor pool) — parse ONLY the pending PDF rows
-#     (parser state pinned per worker, north rule), pass the rest
-#     through. Non-PDF rows reach stage 2 without their multi-KB
-#     payloads, so the pass-through cost is a few small columns.
-# ---------------------------------------------------------------------
-
 def extract_all_batch(batch: pa.Table, metrics_collector=None) -> pa.Table:
-    """Fused single-stage extraction (stateless tasks): sniff + dispatch
-    + extract per row. Parser state (compiled regexes) is module-level
-    and Ray reuses worker processes across tasks, so per-worker state
-    pinning holds without an actor pool. Fastest shape on Ray 2.49 —
-    see ``pipelines.flagship.build_extraction_pipeline``.
+    """Fused extraction over one batch: sniff + dispatch + extract per
+    row. See ``pipelines.flagship.build_extraction_pipeline``.
 
     ``metrics_collector`` (via fn_kwargs) is a MetricsCollector handle;
     each batch reports per-worker docs/bytes/failures/seconds."""
@@ -111,36 +43,3 @@ def extract_all_batch(batch: pa.Table, metrics_collector=None) -> pa.Table:
         time.monotonic() - t0,
     )
     return records_to_arrow(records)
-
-
-_PDF_MAGIC = b"%PDF-"
-
-
-def is_pdf_mask(batch: pa.Table) -> pa.ChunkedArray:
-    """Vectorized %PDF- magic test over the binary payload column.
-    Null payloads → False (NOT null: Table.filter drops null-mask rows,
-    which would silently lose null-html rows from both union branches)."""
-    head = pc.binary_slice(batch.column("html"), 0, 5)
-    return pc.coalesce(pc.equal(head, _PDF_MAGIC), pa.scalar(False))
-
-
-def extract_non_pdf_batch(batch: pa.Table) -> pa.Table:
-    """HTML/text/edge branch (stateless tasks): drop PDF rows (the
-    actor-pool branch owns them), extract everything else."""
-    keep = batch.filter(pc.invert(is_pdf_mask(batch)))
-    urls = keep.column("url").to_pylist()
-    htmls = keep.column("html").to_pylist()
-    return records_to_arrow([extract_record(u, h) for u, h in zip(urls, htmls)])
-
-
-def project_pdf_rows(batch: pa.Table) -> pa.Table:
-    """PDF branch head: early filter+project so only PDF payloads flow
-    into the actor pool (≈15% of a crawl)."""
-    return batch.filter(is_pdf_mask(batch)).select(["url", "html"])
-
-
-# The PDF layout parse runs in the stateful ExtractPages actor pool
-# (parser state pinned per worker in __init__ — the hoist of the
-# reference's per-document re-init, SURVEY.md §4.4.1). ExtractPages
-# dispatches per row, so feeding it the PDF-only branch specializes it.
-PdfExtractActor = ExtractPages

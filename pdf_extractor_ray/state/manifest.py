@@ -92,11 +92,8 @@ def run_partitioned_extraction(
     out_dir: str,
     *,
     files_per_partition: int = 1,
-    concurrency: int | tuple[int, int] = (1, 8),
     batch_size: int = 256,
     fail_after_partitions: int | None = None,
-    use_actor_pool: bool = False,
-    bucket_routing: bool = False,
 ) -> dict:
     """Resumable flagship run: skip committed partitions, process the
     rest, commit each atomically. Returns run summary.
@@ -125,14 +122,7 @@ def run_partitioned_extraction(
         final = os.path.join(out_dir, f"part={pid}")
         tmp = final + ".tmp"
         shutil.rmtree(tmp, ignore_errors=True)
-        ds = build_extraction_pipeline(
-            group,
-            concurrency=concurrency,
-            batch_size=batch_size,
-            use_actor_pool=use_actor_pool,
-            bucket_routing=bucket_routing,
-            metrics_collector=collector,
-        )
+        ds = build_extraction_pipeline(group, batch_size=batch_size, metrics_collector=collector)
         ds.write_parquet(tmp)
         # per-partition metrics from the written output (cheap re-scan of
         # status/n_bytes columns only)

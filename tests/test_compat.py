@@ -121,11 +121,10 @@ def test_config_from_json_and_factory(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "batch_size": 64,
-        "concurrency": 2,
         "fields": [{"key": "DOC ID", "alt_names": ["document id"]}],
     }))
     cfg = PipelineConfig.from_json(str(cfg_path))
-    assert cfg.batch_size == 64 and cfg.concurrency == 2
+    assert cfg.batch_size == 64
     assert [s.key for s in cfg.field_specs()] == ["DOC ID"]
 
     with _pytest.raises(ValueError, match="not found"):
@@ -136,6 +135,8 @@ def test_config_from_json_and_factory(tmp_path):
         PipelineConfig.from_json(str(bad))
     with _pytest.raises(ValueError, match="unknown config keys"):
         PipelineConfig.from_dict({"nope": 1})
+    with _pytest.raises(ValueError, match="unknown config keys"):
+        PipelineConfig.from_dict({"concurrency": 2})  # no execution-shape knobs
     with _pytest.raises(ValueError, match="batch_size"):
         PipelineConfig.from_dict({"batch_size": -5})
     with _pytest.raises(ValueError, match="scorer_backend"):

@@ -24,7 +24,7 @@ def _by_url(table: pa.Table) -> dict:
 
 @pytest.fixture(scope="module")
 def pipeline_output(pages_corpus):
-    ds = build_extraction_pipeline(pages_corpus, concurrency=2, batch_size=32)
+    ds = build_extraction_pipeline(pages_corpus, batch_size=32)
     return pa.concat_tables(ray.get(ds.to_arrow_refs()))
 
 
@@ -41,7 +41,7 @@ def test_byte_identical_to_oracle(pipeline_output, goldens):
 
 
 def test_invariant_under_shuffle_and_batch_size(pages_corpus, goldens):
-    ds = build_extraction_pipeline(pages_corpus, concurrency=3, batch_size=7)
+    ds = build_extraction_pipeline(pages_corpus, batch_size=7)
     ds = ds.random_shuffle(seed=123)
     out = ds.to_pandas()
     exp = _by_url(goldens)
@@ -58,20 +58,8 @@ def test_quarantine_rows_present(pipeline_output):
     assert len(status) == 300
 
 
-def test_actor_pool_shape_identical(pages_corpus, goldens):
-    """use_actor_pool=True (branch+union, stateful PDF pool) must be
-    row-identical to the fused task shape and to the oracle."""
-    ds = build_extraction_pipeline(pages_corpus, use_actor_pool=True, concurrency=2)
-    out = ds.to_pandas()
-    exp = _by_url(goldens)
-    assert len(out) == goldens.num_rows
-    for u, t, s in zip(out["url"], out["extracted_text"], out["status"]):
-        assert t == exp[u][0]
-        assert s == exp[u][1]
-
-
 def test_extraction_summary_aggregate(pages_corpus):
-    ds = build_extraction_pipeline(pages_corpus, concurrency=2)
+    ds = build_extraction_pipeline(pages_corpus)
     summary = extraction_summary(ds).to_pandas()
     assert summary["n_docs"].sum() == 300
     assert set(summary.columns) == {"kind", "status", "n_docs", "total_bytes"}
@@ -108,22 +96,11 @@ def test_mega_doc_skew(tmp_path):
     assert len(mrow["extracted_text"]) > 1_000_000
 
 
-def test_bucket_routing_shape_identical(pages_corpus, goldens):
-    """bucket_routing=True (size-bucket branches, batch_size=1 for the
-    mega bucket) must be row-identical to the default shape."""
-    ds = build_extraction_pipeline(pages_corpus, bucket_routing=True)
-    out = ds.to_pandas()
-    exp = _by_url(goldens)
-    assert len(out) == goldens.num_rows
-    for u, t, s in zip(out["url"], out["extracted_text"], out["status"]):
-        assert t == exp[u][0]
-        assert s == exp[u][1]
-
-
 def test_flagship_plan_is_shuffle_free(tmp_path):
     """The extraction path must never contain an all-to-all exchange —
     the zero-shuffle property is the core 100 TB claim; this pins it
-    against future regressions (e.g. an accidental groupby/sort)."""
+    against future regressions (e.g. an accidental groupby/sort), and
+    pins the one-scan shape (no branch-and-union of the input)."""
     from pdf_extractor_ray.pipelines.flagship import build_extraction_pipeline
     from pdf_extractor_ray.sources.pages import write_pages_corpus
 
@@ -131,5 +108,5 @@ def test_flagship_plan_is_shuffle_free(tmp_path):
     ds = build_extraction_pipeline(paths, batch_size=64)
     ds.take(5)  # execute enough to materialize the plan
     stats = ds.stats()
-    for marker in ("AllToAll", "Sort", "Aggregate", "Join", "shuffle"):
+    for marker in ("AllToAll", "Sort", "Aggregate", "Join", "Union", "shuffle"):
         assert marker not in stats, f"flagship plan gained a {marker} stage:\n{stats[:500]}"

@@ -32,6 +32,10 @@ def test_sniff_kinds():
     assert sniff(None) == "empty"
     assert sniff(b"\xff\xfe\x00garbage") == "binary"
     assert sniff(b"plain old text") == "text"
+    # NULs before an HTML marker: a binary blob, not a page
+    assert sniff(b"\x00\x01\x02\x03<p>binary blob</p>" + bytes(range(256)) * 2) == "binary"
+    # legacy-charset HTML is invalid UTF-8 but still a page
+    assert sniff("<html><title>Café</title><p>Crème</p>".encode("cp1252")) == "html"
 
 
 def test_size_bucket():

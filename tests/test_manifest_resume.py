@@ -35,12 +35,12 @@ def test_crash_and_resume_exactly_once(pages_corpus, goldens, tmp_path):
     out = str(tmp_path / "out")
     # run 1: crash after committing 2 of 4 partitions
     with pytest.raises(RuntimeError, match="injected failure"):
-        run_partitioned_extraction(pages_corpus, out, concurrency=2, fail_after_partitions=2)
+        run_partitioned_extraction(pages_corpus, out, fail_after_partitions=2)
     m = Manifest(out)
     assert len(m.committed()) == 2
 
     # run 2: resumes — skips the 2 committed, runs the remaining 2
-    summary = run_partitioned_extraction(pages_corpus, out, concurrency=2)
+    summary = run_partitioned_extraction(pages_corpus, out)
     assert sorted(summary["skipped"]) == sorted(m.committed().keys() - set(summary["ran"]))
     assert len(summary["ran"]) == 2
     assert len(summary["skipped"]) == 2
@@ -53,14 +53,14 @@ def test_crash_and_resume_exactly_once(pages_corpus, goldens, tmp_path):
     assert got == exp
 
     # run 3: full resume — nothing left to do
-    summary = run_partitioned_extraction(pages_corpus, out, concurrency=2)
+    summary = run_partitioned_extraction(pages_corpus, out)
     assert summary["ran"] == []
     assert len(summary["skipped"]) == 4
 
 
 def test_manifest_entries_carry_lineage_and_metrics(pages_corpus, tmp_path):
     out = str(tmp_path / "out2")
-    run_partitioned_extraction(pages_corpus[:2], out, files_per_partition=2, concurrency=2)
+    run_partitioned_extraction(pages_corpus[:2], out, files_per_partition=2)
     entries = Manifest(out).committed()
     assert len(entries) == 1
     e = next(iter(entries.values()))
@@ -72,10 +72,10 @@ def test_manifest_entries_carry_lineage_and_metrics(pages_corpus, tmp_path):
 
 def test_input_change_invalidates_partition(pages_corpus, tmp_path):
     out = str(tmp_path / "out3")
-    run_partitioned_extraction(pages_corpus[:1], out, concurrency=2)
+    run_partitioned_extraction(pages_corpus[:1], out)
     # tamper with the input file's mtime → content_hash changes → re-run
     os.utime(pages_corpus[0], (1, 1))
-    summary = run_partitioned_extraction(pages_corpus[:1], out, concurrency=2)
+    summary = run_partitioned_extraction(pages_corpus[:1], out)
     assert summary["ran"] == ["00000"]
 
 
@@ -83,7 +83,7 @@ def test_worker_metrics_exported_to_manifest(pages_corpus, tmp_path):
     """Each partition's manifest entry carries per-worker (actor/task
     process) docs/bytes/failures/docs-per-sec breakdowns."""
     out = str(tmp_path / "metrics_out")
-    run_partitioned_extraction(pages_corpus[:2], out, files_per_partition=1, concurrency=2)
+    run_partitioned_extraction(pages_corpus[:2], out, files_per_partition=1)
     entries = Manifest(out).committed()
     assert len(entries) == 2
     all_metrics = [m for e in entries.values() for m in e.get("worker_metrics", [])]
@@ -102,7 +102,7 @@ def test_quarantine_sink_written(pages_corpus, tmp_path):
     import pyarrow.dataset as pads2
 
     out = str(tmp_path / "qout")
-    run_partitioned_extraction(pages_corpus, out, files_per_partition=2, concurrency=2)
+    run_partitioned_extraction(pages_corpus, out, files_per_partition=2)
     qfiles = glob.glob(os.path.join(out, "quarantine", "*.parquet"))
     assert qfiles, "expected quarantine sink files"
     q = pads2.dataset(qfiles).to_table()

@@ -177,7 +177,7 @@ def test_extract_documents_recovers_text():
 
     from pdf_extractor_ray.pipelines.webdocs import extract_documents
 
-    out = extract_documents(SF_DIR, concurrency=2).to_pandas()
+    out = extract_documents(SF_DIR).to_pandas()
     docs = pq.read_table(f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]).to_pandas()
     texts = dict(zip(docs["doc_id"], docs["text"]))
     n_checked = 0

@@ -27,6 +27,9 @@ class TestResolveUrl:
         assert r(base, "#new") == "https://a.com/x/y?q=1"
         assert r(base, "?r=2") == "https://a.com/x/y?r=2"
         assert r(base, "http://c.com/z") == "http://c.com/z"
+        # non-hierarchical schemes are absolute too (§3.1 scheme ":")
+        assert r("http://h/a/b", "mailto:x@y.com") == "mailto:x@y.com"
+        assert r(base, "javascript:void(0)") == "javascript:void(0)"
         assert r(base, "") == "https://a.com/x/y?q=1"
         # dot-segment overflow clamps at root (§5.2.4)
         assert r("https://a.com/a", "../../d") == "https://a.com/d"
