@@ -9,6 +9,13 @@ input. It won every measurement against the two shapes it replaced
 (an HTML-task ∥ PDF-actor-pool branch+union, and per-size-bucket
 branches); see ``BENCH/BASELINE.md``.
 
+The read is sized from the Parquet footers (``read_pages``): one block
+per ``batch_size`` rows, more when the pruned columns exceed
+``BLOCK_BYTES`` per block (a batch of mega rows must not fill the
+object store), never more than four per CPU (or 16). The partitioned
+runner (``state.manifest``) reads through the same helper, so the read
+settings live here only.
+
 At 100 TB: this pipeline is embarrassingly parallel (no shuffle at
 all); throughput scales with workers × per-doc parse speed, and the
 object store only ever holds a window of blocks (streaming
@@ -18,18 +25,62 @@ BENCH/BASELINE.md).
 
 from __future__ import annotations
 
+import math
+
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
 from pdf_extractor_ray.stages.extract import extract_all_batch
 
+READ_COLUMNS = ["url", "html"]  # prune: warc_ts/text/lang unused by extraction
+BLOCK_BYTES = 64 << 20
 
-def build_extraction_pipeline(
-    paths: str | list[str],
-    *,
-    batch_size: int = 256,
-    metrics_collector=None,
+
+def read_footers(paths: str | list[str]) -> dict[str, tuple[int, int]]:
+    """Parquet file → ``(rows, uncompressed bytes of READ_COLUMNS)``,
+    from the footers alone. Directories expand to the files they hold."""
+    out = {}
+    for f in pads.dataset(paths, format="parquet").files:
+        md = pq.read_metadata(f)
+        n_bytes = 0
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            for c in range(rg.num_columns):
+                col = rg.column(c)
+                if col.path_in_schema in READ_COLUMNS:
+                    n_bytes += col.total_uncompressed_size
+        out[f] = (md.num_rows, n_bytes)
+    return out
+
+
+def num_read_blocks(n_rows: int, n_bytes: int, batch_size: int, n_cpus: int | None = None) -> int:
+    """Read blocks for ``n_rows`` rows of ``n_bytes``: one per batch,
+    more when a block would exceed ``BLOCK_BYTES``, at most
+    ``max(4 × CPUs, 16)``."""
+    if n_cpus is None:
+        n_cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    wanted = max(math.ceil(n_rows / batch_size), math.ceil(n_bytes / BLOCK_BYTES), 1)
+    return min(wanted, max(n_cpus * 4, 16))
+
+
+def read_pages(
+    footers: dict[str, tuple[int, int]], *, batch_size: int, include_paths: bool = False
 ) -> ray.data.Dataset:
+    """``(url, html)`` of the files in ``footers`` (from
+    ``read_footers``), in blocks sized by ``num_read_blocks``."""
+    return ray.data.read_parquet(
+        list(footers),
+        columns=READ_COLUMNS,
+        include_paths=include_paths,
+        override_num_blocks=num_read_blocks(
+            sum(r for r, _ in footers.values()), sum(b for _, b in footers.values()), batch_size
+        ),
+    )
+
+
+def build_extraction_pipeline(paths: str | list[str], *, batch_size: int = 256) -> ray.data.Dataset:
     """Lazy extraction Dataset over pages parquet. Caller consumes it
     (write_parquet / iter_batches); nothing is materialized here.
 
@@ -40,21 +91,9 @@ def build_extraction_pipeline(
     actor-pool dispatch path, which in Ray 2.49 measured ~45% slower
     for per-document CPU work. Mega-documents are absorbed by Ray's
     dynamic block splitting, not by per-size-bucket branches.
-
-    ``metrics_collector`` is a ``state.metrics`` collector handle; each
-    batch reports per-worker docs/bytes/failures/seconds to it.
     """
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    ds = ray.data.read_parquet(
-        paths,
-        columns=["url", "html"],  # prune: warc_ts/text/lang unused by extraction
-        override_num_blocks=max(ncpu * 4, 16),
-    )
-    return ds.map_batches(
-        extract_all_batch,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        fn_kwargs={"metrics_collector": metrics_collector},
+    return read_pages(read_footers(paths), batch_size=batch_size).map_batches(
+        extract_all_batch, batch_format="pyarrow", batch_size=batch_size
     )
 
 

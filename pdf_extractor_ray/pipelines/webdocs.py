@@ -67,18 +67,22 @@ def pages_from_documents(sf_dir: str) -> ray.data.Dataset:
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text", "lang", "source"]
     )
 
-    def derive(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    def derive(b: pa.Table) -> pa.Table:
+        # pyarrow in and out, one read block per call: the read blocks
+        # carry documents.parquet's pandas schema metadata, and Ray cannot
+        # hash such schemas when it concatenates blocks into a batch
+        ids, texts, langs, sources = (b.column(c).to_pylist() for c in ("doc_id", "text", "lang", "source"))
+        return pa.table(
             {
-                "url": [f"https://docs.example.com/{d}" for d in b["doc_id"]],
-                "html": [
-                    _doc_to_page(int(d), t, lg, sc)
-                    for d, t, lg, sc in zip(b["doc_id"], b["text"], b["lang"], b["source"])
-                ],
+                "url": pa.array([f"https://docs.example.com/{d}" for d in ids], pa.string()),
+                "html": pa.array(
+                    [_doc_to_page(int(d), t, lg, sc) for d, t, lg, sc in zip(ids, texts, langs, sources)],
+                    pa.binary(),
+                ),
             }
         )
 
-    return ds.map_batches(derive, batch_format="pandas", batch_size=1024)
+    return ds.map_batches(derive, batch_format="pyarrow", batch_size=None)
 
 
 def extract_documents(sf_dir: str, batch_size: int = 256) -> ray.data.Dataset:

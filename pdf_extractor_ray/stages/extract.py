@@ -14,32 +14,15 @@ assembly is Arrow (``stages.schema.records_to_arrow``).
 
 from __future__ import annotations
 
-import time
-
 import pyarrow as pa
 
 from pdf_extractor_ray.kernels.record import extract_record
 from pdf_extractor_ray.stages.schema import records_to_arrow
 
 
-def extract_all_batch(batch: pa.Table, metrics_collector=None) -> pa.Table:
+def extract_all_batch(batch: pa.Table) -> pa.Table:
     """Fused extraction over one batch: sniff + dispatch + extract per
-    row. See ``pipelines.flagship.build_extraction_pipeline``.
-
-    ``metrics_collector`` (via fn_kwargs) is a MetricsCollector handle;
-    each batch reports per-worker docs/bytes/failures/seconds."""
-    from pdf_extractor_ray.state.metrics import report
-
-    t0 = time.monotonic()
+    row. See ``pipelines.flagship.build_extraction_pipeline``."""
     urls = batch.column("url").to_pylist()
     htmls = batch.column("html").to_pylist()
-    records = [extract_record(u, h) for u, h in zip(urls, htmls)]
-    report(
-        metrics_collector,
-        "extract",
-        len(records),
-        sum(r["n_bytes"] for r in records),
-        sum(1 for r in records if r["status"].startswith("quarantined")),
-        time.monotonic() - t0,
-    )
-    return records_to_arrow(records)
+    return records_to_arrow([extract_record(u, h) for u, h in zip(urls, htmls)])

@@ -1,17 +1,19 @@
-"""Per-worker metrics export (SURVEY.md §4.6 / north rule: "per-partition
-docs/sec and extraction-failure metrics exported from each actor").
+"""Run-event plane: operator lineage events into the manifest.
 
-A named ``MetricsCollector`` actor receives fire-and-forget reports
-from every extraction worker (actor or task worker — identified by
-PID); the partition runner drains it after each partition commit and
-stores the per-worker breakdown in the manifest entry. When no
-collector exists (plain pipeline runs, tests), reporting is a no-op —
-the data-plane never depends on the metrics plane.
+A named, detached ``MetricsCollector`` actor keeps structured events
+that driver-side operators log (e.g. a semdedup sub-split round, via
+``log_event``); the partition runner drains them into the next
+manifest entry's ``events``. When no collector exists (plain pipeline
+runs, tests), logging is a no-op — the data plane never depends on the
+metrics plane.
+
+Per-worker throughput is not reported here: each manifest entry's
+``worker_metrics`` is built from the count rows its own partition's
+extraction tasks returned (``state.manifest``), so it is exact.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import ray
@@ -23,65 +25,25 @@ NAMESPACE = "pdf_extractor_ray"
 @ray.remote(num_cpus=0)
 class MetricsCollector:
     def __init__(self) -> None:
-        self._records: list[dict] = []
         self._events: list[dict] = []
 
     def log_event(self, kind: str, payload: dict) -> None:
         """Structured operator lineage (e.g. a semdedup sub-split round):
-        arbitrary JSON-safe payload, kept verbatim — unlike per-worker
-        throughput reports these are few and never aggregated."""
+        arbitrary JSON-safe payload, kept verbatim."""
         self._events.append({"kind": kind, "at": time.strftime("%Y-%m-%dT%H:%M:%S"), **payload})
 
     def drain_events(self) -> list[dict]:
         out, self._events = self._events, []
         return out
 
-    def report(self, worker_id: int, stage: str, docs: int, n_bytes: int, failures: int, seconds: float) -> None:
-        self._records.append(
-            {
-                "worker_id": worker_id,
-                "stage": stage,
-                "docs": docs,
-                "bytes": n_bytes,
-                "failures": failures,
-                "seconds": seconds,
-            }
-        )
-
-    def drain(self) -> list[dict]:
-        """Aggregate + clear: one row per (worker, stage) since last drain."""
-        agg: dict[tuple, dict] = {}
-        for r in self._records:
-            key = (r["worker_id"], r["stage"])
-            a = agg.setdefault(
-                key,
-                {"worker_id": r["worker_id"], "stage": r["stage"], "docs": 0, "bytes": 0, "failures": 0, "seconds": 0.0},
-            )
-            a["docs"] += r["docs"]
-            a["bytes"] += r["bytes"]
-            a["failures"] += r["failures"]
-            a["seconds"] += r["seconds"]
-        self._records = []
-        out = []
-        for a in agg.values():
-            a["docs_per_sec"] = round(a["docs"] / a["seconds"], 1) if a["seconds"] > 0 else None
-            a["seconds"] = round(a["seconds"], 3)
-            out.append(a)
-        return sorted(out, key=lambda a: (a["stage"], a["worker_id"]))
-
 
 def start_collector():
     """Create (or reuse) the named collector. Driver-side. Detached so
     the actor survives a failed run's handle going out of scope (a
     non-detached named actor is GC'd with its last handle, leaving the
-    next resume run a dying handle).
-
-    Attribution semantics: reports are fire-and-forget and Ray only
-    orders tasks per caller, so a report racing the driver's
-    post-commit drain can slip into the NEXT partition's bucket — a
-    bounded-ms misattribution documented in the manifest field name.
-    Leftovers from a previous (crashed) run are discarded here so they
-    can never leak into this run's first partition.
+    next resume run a dying handle). Leftover events from a previous
+    (crashed) run are discarded here so they can never leak into this
+    run's first partition.
     """
     try:
         collector = ray.get_actor(COLLECTOR_NAME, namespace=NAMESPACE)
@@ -93,8 +55,7 @@ def start_collector():
         except ValueError:  # lost the creation race
             collector = ray.get_actor(COLLECTOR_NAME, namespace=NAMESPACE)
     try:
-        ray.get(collector.drain.remote(), timeout=10)  # discard stale records
-        ray.get(collector.drain_events.remote(), timeout=10)
+        ray.get(collector.drain_events.remote(), timeout=10)  # discard stale events
     except Exception:
         pass
     return collector
@@ -117,18 +78,5 @@ def log_event(kind: str, payload: dict) -> None:
     try:
         collector = ray.get_actor(COLLECTOR_NAME, namespace=NAMESPACE)
         collector.log_event.remote(kind, payload)
-    except Exception:
-        pass  # metrics plane never fails the data plane
-
-
-def report(collector, stage: str, docs: int, n_bytes: int, failures: int, seconds: float) -> None:
-    """Worker-side fire-and-forget report to an explicitly-passed
-    collector handle (shipped into the stage via fn_kwargs — no global
-    lookups, no staleness under Ray's worker-process reuse); no-op when
-    the handle is None."""
-    if collector is None:
-        return
-    try:
-        collector.report.remote(os.getpid(), stage, docs, n_bytes, failures, seconds)
     except Exception:
         pass  # metrics plane never fails the data plane

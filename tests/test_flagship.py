@@ -110,3 +110,41 @@ def test_flagship_plan_is_shuffle_free(tmp_path):
     stats = ds.stats()
     for marker in ("AllToAll", "Sort", "Aggregate", "Join", "Union", "shuffle"):
         assert marker not in stats, f"flagship plan gained a {marker} stage:\n{stats[:500]}"
+
+
+def test_read_block_count_from_footers(tmp_path):
+    """Read blocks: one per batch of rows, more when the pruned columns
+    of a few mega rows exceed BLOCK_BYTES per block, never past the
+    max(4 × CPUs, 16) cap."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.flagship import BLOCK_BYTES, num_read_blocks, read_footers
+    from pdf_extractor_ray.sources.pages import write_pages_corpus
+
+    paths = write_pages_corpus(str(tmp_path / "p"), n_rows=1000, n_files=2, seed=11)
+    footers = read_footers(paths)
+    assert sorted(footers) == sorted(paths)
+    rows = sum(r for r, _ in footers.values())
+    n_bytes = sum(b for _, b in footers.values())
+    assert rows == 1000 and 0 < n_bytes < BLOCK_BYTES
+    assert num_read_blocks(rows, n_bytes, 256, n_cpus=1) == 4  # ceil(1000 / 256)
+    assert num_read_blocks(rows, n_bytes, 7, n_cpus=1) == 16  # ceil(1000 / 7) = 143, capped
+    assert num_read_blocks(rows, n_bytes, 7, n_cpus=8) == 32
+    assert num_read_blocks(0, 0, 256, n_cpus=1) == 1
+
+    mega = 24 << 20
+    path = str(tmp_path / "mega.parquet")
+    pq.write_table(
+        pa.table(
+            {
+                "url": [f"https://mega.example.com/{i}" for i in range(5)],
+                "html": pa.array([bytes([65 + i]) * mega for i in range(5)], pa.binary()),
+                "text": [""] * 5,
+            }
+        ),
+        path,
+    )
+    (mega_rows, mega_bytes), = read_footers([path]).values()
+    assert mega_rows == 5 and mega_bytes >= 5 * mega
+    assert num_read_blocks(mega_rows, mega_bytes, 256, n_cpus=1) == 2  # 120 MiB / 64 MiB; rows alone give 1

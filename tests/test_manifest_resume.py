@@ -90,6 +90,9 @@ def test_worker_metrics_exported_to_manifest(pages_corpus, tmp_path):
     assert all_metrics, "no worker metrics exported"
     total_docs = sum(m["docs"] for m in all_metrics)
     assert total_docs == sum(e["n_rows"] for e in entries.values())
+    for e in entries.values():  # exact per partition, not only in total
+        assert sum(m["docs"] for m in e["worker_metrics"]) == e["n_rows"]
+        assert sum(m["failures"] for m in e["worker_metrics"]) == e["n_quarantined"]
     for m in all_metrics:
         assert {"worker_id", "stage", "docs", "bytes", "failures", "seconds", "docs_per_sec"} <= set(m)
 
@@ -112,3 +115,108 @@ def test_quarantine_sink_written(pages_corpus, tmp_path):
     assert sum(e["n_quarantined"] for e in entries.values()) == q.num_rows
     main = _read_all(out)
     assert main.num_rows == 300  # quarantined rows still present in main output
+
+
+def test_empty_input_partition_commits(pages_corpus, tmp_path):
+    """A zero-row input file is a partition of its own: it commits with
+    one empty part file and n_rows 0, and the partitions after it run."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.sources.pages import generate_pages_table
+    from pdf_extractor_ray.stages import EXTRACTION_SCHEMA
+
+    empty = str(tmp_path / "a_empty.parquet")  # sorts first: partition 00000
+    pq.write_table(generate_pages_table(0, seed=1), empty)
+    pages = str(tmp_path / "b_pages.parquet")
+    shutil.copy(pages_corpus[0], pages)
+    out = str(tmp_path / "out_empty")
+    summary = run_partitioned_extraction([empty, pages], out)
+    assert sorted(summary["ran"]) == ["00000", "00001"]
+    entries = Manifest(out).committed()
+    assert entries["00000"]["n_rows"] == 0
+    assert entries["00000"]["worker_metrics"] == []
+    empty_part = pads.dataset(os.path.join(out, "part=00000")).to_table()
+    assert empty_part.num_rows == 0 and empty_part.schema.equals(EXTRACTION_SCHEMA)
+    assert entries["00001"]["n_rows"] == pq.read_metadata(pages).num_rows
+    assert _read_all(out).num_rows == entries["00001"]["n_rows"]
+    assert run_partitioned_extraction([empty, pages], out)["ran"] == []
+
+
+def test_batches_straddle_partitions(tmp_path):
+    """5-row partitions with batch_size=7: batches hold rows of two
+    files, yet every row lands once, in its own partition, with the
+    oracle's text."""
+    import collections
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.oracle import oracle_extract_table
+    from pdf_extractor_ray.sources.pages import write_pages_corpus
+
+    paths = write_pages_corpus(str(tmp_path / "small"), n_rows=30, n_files=6, seed=3)
+    out = str(tmp_path / "out_straddle")
+    run_partitioned_extraction(paths, out, batch_size=7)
+    entries = Manifest(out).committed()
+    assert len(entries) == 6
+    # a 5-row file read alone fits one 7-row batch, so a partition with
+    # two part files took rows from a batch shared with another file
+    n_files = [len(os.listdir(os.path.join(out, f"part={pid}"))) for pid in entries]
+    assert max(n_files) > 1, f"no batch straddled two files: {n_files}"
+    for pid, (path,) in partition_inputs(paths).items():
+        part = pads.dataset(os.path.join(out, f"part={pid}")).to_table()
+        assert entries[pid]["n_rows"] == pq.read_metadata(path).num_rows == part.num_rows == 5
+        assert sorted(part.column("url").to_pylist()) == sorted(pq.read_table(path).column("url").to_pylist())
+        assert sum(m["docs"] for m in entries[pid]["worker_metrics"]) == 5
+    pages = pa.concat_tables([pq.read_table(p) for p in paths])
+    table = _read_all(out)
+    assert collections.Counter(table.column("url").to_pylist()) == collections.Counter(pages.column("url").to_pylist())
+    exp = oracle_extract_table(pages)
+    assert dict(zip(table.column("url").to_pylist(), table.column("extracted_text").to_pylist())) == dict(
+        zip(exp.column("url").to_pylist(), exp.column("extracted_text").to_pylist())
+    )
+
+
+def test_stray_part_files_dropped_at_commit(pages_corpus, tmp_path, monkeypatch):
+    """A retried task attempt leaves part files that no count row names;
+    the commit deletes them, so every row appears exactly once in the
+    output and in the quarantine sink."""
+    import collections
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.state import manifest as manifest_mod
+
+    finish = manifest_mod._finish_partition
+
+    def plant_then_finish(out_dir, pid, counts):
+        tmp = os.path.join(out_dir, f"part={pid}.tmp")
+        named = sorted(c["file"] for c in counts)
+        shutil.copy(os.path.join(tmp, named[0]), os.path.join(tmp, "stray-attempt.parquet"))
+        qtmp = os.path.join(tmp, "_quarantine")
+        os.makedirs(qtmp, exist_ok=True)
+        quarantined = sorted(c["file"] for c in counts if c["n_quarantined"])
+        if quarantined:
+            shutil.copy(os.path.join(qtmp, quarantined[0]), os.path.join(qtmp, "stray-attempt.parquet"))
+        finish(out_dir, pid, counts)
+
+    monkeypatch.setattr(manifest_mod, "_finish_partition", plant_then_finish)
+    out = str(tmp_path / "out_stray")
+    run_partitioned_extraction(pages_corpus, out, batch_size=7)
+    pages = pa.concat_tables([pq.read_table(p) for p in pages_corpus])
+    table = _read_all(out)
+    assert collections.Counter(table.column("url").to_pylist()) == collections.Counter(pages.column("url").to_pylist())
+    for name in os.listdir(out):
+        if name.startswith("part="):
+            assert "stray-attempt.parquet" not in os.listdir(os.path.join(out, name))
+    quarantined = sorted(
+        u for u, s in zip(table.column("url").to_pylist(), table.column("status").to_pylist()) if s.startswith("quarantined")
+    )
+    sink = pads.dataset(os.path.join(out, "quarantine")).to_table()
+    assert quarantined and sorted(sink.column("url").to_pylist()) == quarantined
+    entries = Manifest(out).committed()
+    assert sum(e["n_rows"] for e in entries.values()) == table.num_rows
