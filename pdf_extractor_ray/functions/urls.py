@@ -231,6 +231,44 @@ def _public_suffix_labels(labels: list[str]) -> int:
     return best
 
 
+def _robots_groups(txt: str) -> list[tuple[set[str], list[tuple[str, str]]]]:
+    """robots.txt as ``(agents, [(field, value), ...])`` groups: a group
+    is a run of ``User-agent:`` lines (agents lowercased) and the rule
+    lines after it. ``#`` comments are stripped, field names lowercased,
+    lines without a ``:`` and lines before the first group ignored."""
+    groups: list[tuple[set[str], list[tuple[str, str]]]] = []
+    in_agent_run = False
+    for raw_line in txt.splitlines():
+        line = raw_line.split("#", 1)[0].strip()
+        if not line or ":" not in line:
+            continue
+        field, _, value = line.partition(":")
+        field = field.strip().lower()
+        value = value.strip()
+        if field == "user-agent":
+            if not in_agent_run:  # a new group starts
+                groups.append((set(), []))
+            in_agent_run = True
+            groups[-1][0].add(value.lower())
+        else:
+            in_agent_run = False
+            if groups:
+                groups[-1][1].append((field, value))
+    return groups
+
+
+def _robots_group_lines(txt: str, agent: str) -> list[tuple[str, str]]:
+    """Rule lines of the groups that apply to ``agent`` per RFC 9309
+    §2.2.1: every group naming ``agent`` (case-insensitive), combined
+    in file order; only when none does, every ``*`` group."""
+    agent = agent.lower()
+    groups = _robots_groups(txt)
+    chosen = [lines for agents, lines in groups if agent in agents] or [
+        lines for agents, lines in groups if "*" in agents
+    ]
+    return [line for lines in chosen for line in lines]
+
+
 def parse_robots_disallows(txt: str, agent: str = "*") -> list[str]:
     """Parse a robots.txt body into the Disallow path-prefixes that
     apply to ``agent`` — the minimal, deterministic subset of the
@@ -248,28 +286,13 @@ def parse_robots_disallows(txt: str, agent: str = "*") -> list[str]:
     agent = agent.lower()
     out: list[str] = []
     seen: set[str] = set()
-    group_agents: list[str] = []
-    group_applies = False
-    in_agent_run = False
-    for raw_line in txt.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line or ":" not in line:
+    for agents, lines in _robots_groups(txt):
+        if "*" not in agents and agent not in agents:
             continue
-        field, _, value = line.partition(":")
-        field = field.strip().lower()
-        value = value.strip()
-        if field == "user-agent":
-            if not in_agent_run:  # a new group starts
-                group_agents = []
-            in_agent_run = True
-            group_agents.append(value.lower())
-            group_applies = "*" in group_agents or agent in group_agents
-        else:
-            in_agent_run = False
-            if field == "disallow" and group_applies and value:
-                if value not in seen:
-                    seen.add(value)
-                    out.append(value)
+        for field, value in lines:
+            if field == "disallow" and value and value not in seen:
+                seen.add(value)
+                out.append(value)
     return out
 
 
@@ -279,32 +302,17 @@ def parse_robots_rules(txt: str, agent: str = "*") -> list[tuple[bool, str]]:
     consumers that implement longest-match precedence
     (:func:`robots_path_allowed`) instead of
     :func:`parse_robots_disallows`' conservative prefix-only reading.
-    Group scoping matches the other robots parsers; empty values are
-    kept out (an empty Disallow means allow-all and contributes no
-    rule); duplicates preserved (harmless under longest-match)."""
-    agent = agent.lower()
-    out: list[tuple[bool, str]] = []
-    group_agents: list[str] = []
-    group_applies = False
-    in_agent_run = False
-    for raw_line in txt.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line or ":" not in line:
-            continue
-        field, _, value = line.partition(":")
-        field = field.strip().lower()
-        value = value.strip()
-        if field == "user-agent":
-            if not in_agent_run:
-                group_agents = []
-            in_agent_run = True
-            group_agents.append(value.lower())
-            group_applies = "*" in group_agents or agent in group_agents
-        else:
-            in_agent_run = False
-            if field in ("allow", "disallow") and group_applies and value:
-                out.append((field == "allow", value))
-    return out
+    Only the groups that name ``agent`` count, or the ``*`` groups when
+    none does (:func:`_robots_group_lines`): a ``*`` group's Allow must
+    not reopen a path that the agent's own group disallows. Empty
+    values are kept out (an empty Disallow means allow-all and
+    contributes no rule); duplicates preserved (harmless under
+    longest-match)."""
+    return [
+        (field == "allow", value)
+        for field, value in _robots_group_lines(txt, agent)
+        if field in ("allow", "disallow") and value
+    ]
 
 
 def robots_path_allowed(rules: list[tuple[bool, str]], path: str) -> bool:
@@ -328,36 +336,18 @@ def robots_path_allowed(rules: list[tuple[bool, str]], path: str) -> bool:
 def parse_robots_crawl_delay(txt: str, agent: str = "*") -> int | None:
     """Extract the ``Crawl-delay`` (whole seconds) that applies to
     ``agent`` from a robots.txt body — the de-facto politeness field
-    (not in RFC 9309 but honored by most bulk crawlers). Group scoping
-    follows :func:`parse_robots_disallows`: a delay applies when its
-    group names ``*`` or ``agent``; the FIRST applicable value wins;
+    (not in RFC 9309 but honored by most bulk crawlers). Group selection
+    follows :func:`parse_robots_rules`: the groups naming ``agent``, or
+    the ``*`` groups when none does; the FIRST value among them wins;
     non-integer values (``Crawl-delay: soon``) are ignored —
     conservative parsing, a malformed directive must not stall a
     crawler. Returns None when no applicable delay exists."""
-    agent = agent.lower()
-    group_agents: list[str] = []
-    group_applies = False
-    in_agent_run = False
-    for raw_line in txt.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line or ":" not in line:
-            continue
-        field, _, value = line.partition(":")
-        field = field.strip().lower()
-        value = value.strip()
-        if field == "user-agent":
-            if not in_agent_run:
-                group_agents = []
-            in_agent_run = True
-            group_agents.append(value.lower())
-            group_applies = "*" in group_agents or agent in group_agents
-        else:
-            in_agent_run = False
-            if field == "crawl-delay" and group_applies:
-                try:
-                    return int(value)
-                except ValueError:
-                    continue
+    for field, value in _robots_group_lines(txt, agent):
+        if field == "crawl-delay":
+            try:
+                return int(value)
+            except ValueError:
+                continue
     return None
 
 

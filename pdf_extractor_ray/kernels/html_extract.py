@@ -8,6 +8,13 @@ regex tokenizer (quoted-attribute aware, raw-text script/style
 handling, comment/doctype skipping) — profiling showed the stdlib
 ``html.parser`` spending ~27 µs per tag in bookkeeping, 83% of total
 extraction time; the tokenizer drives the same block model ~5× faster.
+Most tags of a crawled page sit in SKIP_TAGS subtrees (head, nav,
+header, aside, footer), where nothing but another skip tag has an
+effect, so the block model's walk (``_Extractor.feed``) crosses a skip
+subtree in one regex match that lexes its tokens exactly as the
+per-token walk did and stops only at the next skip tag. Its output is
+byte-identical to the per-token walk's (``tests/test_property.py`` keeps
+that walk as the reference).
 A single pass attributes every text chunk to its *innermost* enclosing
 block element, then keeps blocks whose link density is low enough and
 whose text is long enough — weighted by id/class content hints
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import re
 from html import unescape
+from operator import attrgetter
 
 from pdf_extractor_ray.kernels.normalize import collapse_ws, normalize_ligatures
 
@@ -153,27 +161,63 @@ class _Block:
         self.hint = hint  # -1 demoted / +1 boosted / 0 neutral
 
 
-# One pass over the markup: tags (quoted-attr aware), comments,
-# doctype/PI, and text runs. Group 2 (the raw attr blob) feeds the
-# id/class hint sniff; capturing it costs nothing extra — the span was
-# already being matched.
+# The lexer's rules, shared by _TOKEN_RE and _SKIP_RUN_RE. After a "<":
+# a comment, cdata, doctype or PI (a comment or cdata with no terminator
+# runs to the end of the document) ...
+_DECL = r"""!(?:--.*?(?:-->|$) | \[CDATA\[.*?(?:\]\]>|$) | [^>]*+>) | \?[^>]*+>"""
+# ... or a tag, whose attrs are quote-aware: a ">" inside a quoted value
+# does not end the tag. The runs are possessive (nothing after them can
+# fail, so they match the same strings and only skip the backtracking).
+_ATTRS = r"""[^>"']*+(?:(?:"[^"]*+"|'[^']*+')[^>"']*+)*+"""
+# One pass over the markup: tags, comments, doctype/PI, and text runs
+# between them. Group 2 (the raw attr blob) feeds the id/class hint
+# sniff; capturing it costs nothing extra — the span was already being
+# matched.
 _TOKEN_RE = re.compile(
     r"""
-    <!--.*?(?:-->|$)                       # comment
-  | <!\[CDATA\[.*?(?:\]\]>|$)              # cdata
-  | <![^>]*>                               # doctype
-  | <\?[^>]*>                              # processing instruction
-  | </?([a-zA-Z][a-zA-Z0-9:-]*)            # tag name (group 1)
-      ((?:[^>"']|"[^"]*"|'[^']*')*)        # attrs, quote-aware (group 2)
-      >?
-    """,
+    <(?:
+        %(decl)s                           # comment / cdata / doctype / PI
+      | /?([a-zA-Z][a-zA-Z0-9:-]*)         # tag name (group 1)
+        (%(attrs)s)                        # attrs (group 2)
+        >?
+    )
+    """
+    % {"decl": _DECL, "attrs": _ATTRS},
     re.S | re.X,
+)
+# a SKIP_TAGS name in any case, ending where _TOKEN_RE's tag name ends
+# ("<navx>" and "<nav:a>" are other tags)
+_SKIP_NAME = r"(?i:%s)(?![a-zA-Z0-9:-])" % "|".join(sorted(SKIP_TAGS))
+# Inside a skip subtree nothing but another skip tag has an effect, so
+# _Extractor.feed crosses everything up to the next SKIP_TAGS tag in this
+# one match. Each loop step is a text run and one "<" token, lexed as
+# _TOKEN_RE lexes it: a comment, cdata, doctype or PI, a tag other than
+# a skip tag, or a bare "<" where _TOKEN_RE starts no tag. So a "<nav>"
+# inside a comment or a quoted attribute value is crossed, not stopped
+# at. The loop is possessive too.
+_SKIP_RUN_RE = re.compile(
+    r"""
+    (?:
+        [^<]*+ <
+        (?:
+            %(decl)s
+          | /?(?!%(skip)s)[a-zA-Z]%(attrs)s>?
+          | (?!/?[a-zA-Z])
+        )
+    )*+
+    [^<]*+
+    """
+    % {"decl": _DECL, "skip": _SKIP_NAME, "attrs": _ATTRS},
+    re.S | re.X | re.A,
 )
 # script/style content is raw text up to the matching close tag
 _RAWTEXT_CLOSE = {
     "script": re.compile(r"</script", re.I),
     "style": re.compile(r"</style", re.I),
 }
+
+
+_ORDER = attrgetter("order")
 
 
 def _decode_page(raw: bytes) -> str:
@@ -189,7 +233,6 @@ def _decode_page(raw: bytes) -> str:
 
 class _Extractor:
     __slots__ = (
-        "_skip_depth",
         "_link_depth",
         "_block_stack",
         "_done",
@@ -201,7 +244,6 @@ class _Extractor:
     )
 
     def __init__(self) -> None:
-        self._skip_depth = 0
         self._link_depth = 0
         self._block_stack: list[_Block] = []
         self._done: list[_Block] = []
@@ -216,29 +258,56 @@ class _Extractor:
         self._pos_depth = 0
 
     def feed(self, html: str) -> None:
+        # SKIP_TAGS tags are counted here, in ``skip``, and the handlers
+        # only ever run outside skip subtrees: while one is open,
+        # _SKIP_RUN_RE crosses everything up to the next skip tag.
         pos = 0
         n = len(html)
+        skip = 0
         search = _TOKEN_RE.search
+        skip_run = _SKIP_RUN_RE.match
+        starttag = self._starttag
+        endtag = self._endtag
+        data = self._data
         while pos < n:
+            if skip:
+                pos = skip_run(html, pos).end()
+                if pos == n:
+                    break
             m = search(html, pos)
             if m is None:
-                self._data(html[pos:])
+                data(html[pos:])
                 break
-            if m.start() > pos:
-                self._data(html[pos : m.start()])
+            start = m.start()
+            if start > pos:
+                data(html[pos:start])
             pos = m.end()
             name = m.group(1)
             if name is None:
                 continue  # comment / doctype / PI / cdata
             tag = name.lower()
-            if html[m.start() + 1] == "/":  # cheaper than m.group(0)[1]
-                self._endtag(tag)
+            if html[start + 1] == "/":  # cheaper than m.group(0)[1]
+                if tag not in SKIP_TAGS:
+                    endtag(tag)
+                elif skip:
+                    skip -= 1
+                continue
+            # a self-closed tag (<iframe/>, <a/>) is an open and a close,
+            # else a skip/link depth increments forever and all following
+            # content is silently discarded
+            closed = html[pos - 2 : pos] == "/>"
+            if tag in SKIP_TAGS:
+                if not closed:
+                    skip += 1
+                    if tag in _RAWTEXT_CLOSE:
+                        cm = _RAWTEXT_CLOSE[tag].search(html, pos)
+                        pos = cm.start() if cm else n  # raw content skipped
                 continue
             # attr-blob handling is gated to structure tags that can
             # carry an id/class hint; those materialize their blob
             # (slice + case-normalize) — the numerous <a href=...> tags
             # never pay it, which is where the ~10% kernel cost of an
-            # unconditional m.group(2) per start tag lived. The
+            # unconditional attrs group per start tag lived. The
             # prefilter is case-INsensitive to match _ATTR_VAL_RE
             # (uppercase ID=/CLASS= must not bypass the sniff).
             attrs = ""
@@ -249,31 +318,20 @@ class _Extractor:
                     low = blob if blob.islower() else blob.lower()
                     if "id" in low or "class" in low:
                         attrs = blob
-            if html[pos - 2 : pos] == "/>":
-                # self-closed non-void tag (<iframe/>, <a/>): open+close,
-                # else a skip/link depth increments forever and all
-                # following content is silently discarded
-                self._starttag(tag, attrs)
-                self._endtag(tag)
-            else:
-                self._starttag(tag, attrs)
-                if tag in _RAWTEXT_CLOSE:
-                    cm = _RAWTEXT_CLOSE[tag].search(html, pos)
-                    pos = cm.start() if cm else n  # raw content skipped
+            starttag(tag, attrs)
+            if closed:
+                endtag(tag)
 
-    # -- tag events ----------------------------------------------------
-    def _starttag(self, tag: str, attrs: str = "") -> None:
+    # -- tag events (never inside a skip subtree) ----------------------
+    def _starttag(self, tag: str, attrs: str) -> None:
         if tag in VOID_TAGS:
             # <br>/<hr> separate words: without this, "one<br>two"
             # would fuse to "onetwo" (collapse_ws normalizes the space)
-            if tag in ("br", "hr") and not self._skip_depth and self._block_stack:
+            if tag in ("br", "hr") and self._block_stack:
                 self._block_stack[-1].parts.append(" ")
             return
-        if tag in SKIP_TAGS:
-            self._skip_depth += 1
-            return
-        if self._skip_depth:
-            return
+        stack = self._block_stack
+        block = tag in BLOCK_TAGS
         # implied end tags (the HTML omitted-end-tag rules the block
         # model must honor): <p> closes before any block-level element
         # (cascading — a p nested in an unclosed li must not shield the
@@ -283,10 +341,10 @@ class _Extractor:
         # HINTED <p class="comment"> would keep its demotion active for
         # the rest of the document — the hint stack, unlike the block
         # stack's innermost-match pop, has no other recovery from
-        # unbalanced markup.
-        while self._block_stack:
-            inner = self._block_stack[-1].tag
-            if inner == "p" and tag in BLOCK_TAGS:
+        # unbalanced markup. Every tag these rules name is a block tag.
+        while block and stack:
+            inner = stack[-1].tag
+            if inner == "p":
                 self._endtag("p")
                 continue  # re-examine the newly exposed innermost
             if (tag == inner and tag in ("li", "tr")) or (
@@ -309,14 +367,14 @@ class _Extractor:
                 self._pos_depth += 1
         elif tag in self._hint_counts:
             self._hint_counts[tag] += 1
-        if tag == "a":
-            self._link_depth += 1
-        if tag in BLOCK_TAGS:
+        if block:
             self._order += 1
             hint = -1 if self._neg_depth else (1 if self._pos_depth else 0)
-            self._block_stack.append(_Block(tag, self._order, hint))
-        elif tag in ("td", "th") and self._block_stack:
-            blk = self._block_stack[-1]
+            stack.append(_Block(tag, self._order, hint))
+        elif tag == "a":
+            self._link_depth += 1
+        elif tag in ("td", "th") and stack:
+            blk = stack[-1]
             # row-wise cell joining: a new cell inside a <tr> block that
             # already holds text gets a visible separator, so the row
             # serializes as one "a | b | c" line
@@ -325,12 +383,6 @@ class _Extractor:
 
     def _endtag(self, tag: str) -> None:
         if tag in VOID_TAGS:
-            return
-        if tag in SKIP_TAGS:
-            if self._skip_depth:
-                self._skip_depth -= 1
-            return
-        if self._skip_depth:
             return
         if tag in self._hint_counts:
             c = self._hint_counts[tag] - 1
@@ -344,19 +396,22 @@ class _Extractor:
                 del self._hint_counts[tag]
             else:
                 self._hint_counts[tag] = max(c, 0)
-        if tag == "a" and self._link_depth:
-            self._link_depth -= 1
         if tag in BLOCK_TAGS:
             # pop the innermost matching block (tolerate unbalanced HTML)
             stack = self._block_stack
-            for i in range(len(stack) - 1, -1, -1):
+            if stack and stack[-1].tag == tag:
+                self._done.append(stack.pop())
+                return
+            for i in range(len(stack) - 2, -1, -1):
                 if stack[i].tag == tag:
                     self._done.extend(stack[i:])
                     del stack[i:]
                     break
+        elif tag == "a" and self._link_depth:
+            self._link_depth -= 1
 
     def _data(self, data: str) -> None:
-        if self._skip_depth or not data or data.isspace():
+        if data.isspace():
             return
         if "&" in data:
             data = unescape(data)
@@ -375,7 +430,7 @@ class _Extractor:
     # -- result --------------------------------------------------------
     def blocks(self) -> list[_Block]:
         out = self._done + self._block_stack  # flush unclosed blocks
-        out.sort(key=lambda b: b.order)
+        out.sort(key=_ORDER)
         return out
 
 

@@ -292,26 +292,50 @@ def schema_evolution_documents(sf_dir: str) -> "ray.data.Dataset":
     versions); reading them in ONE read_parquet call fails or silently
     casts, so per-generation read + normalize + union IS the pattern.
     Zero shuffle."""
+    import hashlib
     import os
+    import shutil
 
     import numpy as np
     import pandas as pd
     import pyarrow.parquet as pq
     import ray.data
 
-    src = os.path.join(sf_dir, "documents.parquet")
-    t = pq.read_table(src, columns=["doc_id", "lang", "text"])
-    gen_dir = os.path.join(
-        "/tmp", f"pdfx_schema_gen_{os.path.basename(os.path.normpath(sf_dir))}"
-    )
-    os.makedirs(gen_dir, exist_ok=True)
-    ids = t.column("doc_id").to_numpy()
+    src = os.path.realpath(os.path.join(sf_dir, "documents.parquet"))
+    # The two generations are written once per version of the source:
+    # the directory is named for its full path and for its size and
+    # mtime, filled under a temporary name and renamed into place, so a
+    # reader never sees a half-written generation and a changed source
+    # never reuses a stale one. Writing a new version removes the older
+    # versions of the same source, with any temporary directory a crash
+    # left behind for them.
+    st = os.stat(src)
+
+    def key(text: str) -> str:
+        return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+    root = tempfile.gettempdir()
+    source_prefix = f"pdfx_schema_gen_{key(src)}_"
+    name = source_prefix + key(f"{st.st_size}\0{st.st_mtime_ns}")
+    gen_dir = os.path.join(root, name)
     new_path = os.path.join(gen_dir, "gen2.parquet")
     old_path = os.path.join(gen_dir, "gen1.parquet")
-    pq.write_table(t.filter(ids % 2 == 0), new_path)
-    pq.write_table(
-        t.filter(ids % 2 == 1).select(["doc_id", "text"]), old_path  # lang not yet invented
-    )
+    if not os.path.isdir(gen_dir):
+        t = pq.read_table(src, columns=["doc_id", "lang", "text"])
+        ids = t.column("doc_id").to_numpy()
+        tmp = tempfile.mkdtemp(prefix=name + ".", dir=root)
+        pq.write_table(t.filter(ids % 2 == 0), os.path.join(tmp, "gen2.parquet"))
+        pq.write_table(
+            t.filter(ids % 2 == 1).select(["doc_id", "text"]),  # lang not yet invented
+            os.path.join(tmp, "gen1.parquet"),
+        )
+        try:
+            os.rename(tmp, gen_dir)
+        except OSError:  # another caller renamed its copy into place first
+            shutil.rmtree(tmp, ignore_errors=True)
+        for entry in os.listdir(root):
+            if entry.startswith(source_prefix) and not entry.startswith(name):
+                shutil.rmtree(os.path.join(root, entry), ignore_errors=True)
 
     def normalize(has_lang: bool):
         def fn(b: pd.DataFrame) -> pd.DataFrame:

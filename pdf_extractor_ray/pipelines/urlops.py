@@ -21,6 +21,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from pdf_extractor_ray.functions.urls import canonical_url, registrable_domain, site_domain
@@ -1431,16 +1432,21 @@ FROM m GROUP BY host
 # --------------------------------------------------------------------------
 
 
-def derive_relative_pages(b: pd.DataFrame) -> pd.DataFrame:
+def derive_relative_pages(b: pa.Table) -> pa.Table:
     """Page per doc at ``https://h{d%7}.example.org/dir{d%4}/page`` with
     one link whose FORM rotates by ``d % 6`` through the resolution
     cases: relative sibling, ``..`` parent climb, absolute path,
     protocol-relative, fragment-only (same-document), and
     query-replacement. Every page also carries a decoy link inside
-    a <script> string."""
+    a <script> string.
+
+    pyarrow in and out, one read block per call (``batch_size=None``):
+    the read blocks carry documents.parquet's pandas schema metadata,
+    and Ray cannot hash such schemas when it concatenates blocks into a
+    batch."""
+    ids = b.column("doc_id")
     htmls, bases = [], []
-    for doc_id in b["doc_id"]:
-        d = int(doc_id)
+    for d in ids.to_pylist():
         base = f"https://h{d % 7}.example.org/dir{d % 4}/page"
         href = [
             f"sib{d % 9}",
@@ -1459,10 +1465,7 @@ def derive_relative_pages(b: pd.DataFrame) -> pd.DataFrame:
             ).encode("utf-8")
         )
         bases.append(base)
-    out = b[["doc_id"]].copy()
-    out["html"] = htmls
-    out["base"] = bases
-    return out
+    return pa.table({"doc_id": ids, "html": pa.array(htmls, pa.binary()), "base": pa.array(bases, pa.string())})
 
 
 def resolved_links_documents(sf_dir: str) -> ray.data.Dataset:
@@ -1479,7 +1482,7 @@ def resolved_links_documents(sf_dir: str) -> ray.data.Dataset:
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
-    ).map_batches(derive_relative_pages, batch_format="pandas", batch_size=1024)
+    ).map_batches(derive_relative_pages, batch_format="pyarrow", batch_size=None)
 
     def resolve(b: pd.DataFrame) -> pd.DataFrame:
         ids, urls = [], []

@@ -105,3 +105,46 @@ def test_build_publish_race_loser_yields(tmp_path):
     ingest.build_content_index(_docs([(1, "alpha")]), index_dir, num_buckets=4)  # must not raise
     assert _manifest(index_dir) == before
     assert not [d for d in os.listdir(os.path.dirname(index_dir)) if ".building-" in d]
+
+
+def _write_documents(sf_dir, ids: list[int]) -> None:
+    os.makedirs(sf_dir, exist_ok=True)
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "lang": pa.array(["en"] * len(ids)),
+                "text": pa.array(["x" * i for i in ids]),
+            }
+        ),
+        os.path.join(sf_dir, "documents.parquet"),
+    )
+
+
+def test_schema_evolution_generations_keyed_on_source(tmp_path, monkeypatch):
+    """Two sources whose directories share a name get their own
+    generations, a generation is written once, by rename, and a new
+    version of a source replaces its old generations."""
+    import tempfile
+
+    gen_root = tmp_path / "tmp"
+    gen_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(gen_root))
+    a, b = tmp_path / "a" / "sf", tmp_path / "b" / "sf"
+    _write_documents(a, [0, 1, 2, 3])
+    _write_documents(b, [10, 11, 12])
+    assert sorted(ingest.schema_evolution_documents(str(a)).to_pandas()["doc_id"]) == [0, 1, 2, 3]
+    (gen_a,) = os.listdir(gen_root)  # no temp dir left
+    assert sorted(ingest.schema_evolution_documents(str(b)).to_pandas()["doc_id"]) == [10, 11, 12]
+    (gen_b,) = set(os.listdir(gen_root)) - {gen_a}
+    assert "." not in gen_a and "." not in gen_b
+    written = {p: os.stat(p).st_mtime_ns for p in glob.glob(str(gen_root / "*" / "*.parquet"))}
+    ingest.schema_evolution_documents(str(a))  # same source: nothing rewritten
+    assert {p: os.stat(p).st_mtime_ns for p in written} == written
+    os.makedirs(gen_root / (gen_a + ".crashed"))  # temp dirs a crash left behind
+    os.makedirs(gen_root / (gen_b + ".crashed"))
+    _write_documents(a, [5, 6])  # a changed source gets a new generation
+    assert sorted(ingest.schema_evolution_documents(str(a)).to_pandas()["doc_id"]) == [5, 6]
+    assert {gen_b, gen_b + ".crashed"} <= set(os.listdir(gen_root))  # b's are kept
+    (new_a,) = set(os.listdir(gen_root)) - {gen_b, gen_b + ".crashed"}
+    assert new_a != gen_a and "." not in new_a  # a's old generation and debris are gone

@@ -25,6 +25,38 @@ class TestRobotsRulesParse:
         )
         assert f(body) == [(False, "/a"), (True, "/a/b")]
 
+    def test_named_group_replaces_star_group(self):
+        """RFC 9309 §2.2.1: a group naming the agent replaces the ``*``
+        group; it is not merged with it."""
+        from pdf_extractor_ray.functions.urls import (
+            parse_robots_crawl_delay,
+            parse_robots_rules,
+            robots_path_allowed,
+        )
+
+        body = (
+            "User-agent: *\nAllow: /a/b\nCrawl-delay: 5\n\n"
+            "User-agent: FOO\nDisallow: /a\nCrawl-delay: 10\n"
+        )
+        assert parse_robots_rules(body, agent="foo") == [(False, "/a")]
+        assert not robots_path_allowed(parse_robots_rules(body, agent="foo"), "/a/b/c")
+        assert parse_robots_crawl_delay(body, agent="foo") == 10
+        # no group names the agent: the * group applies, as for "*" itself
+        for agent in ("bar", "*"):
+            assert parse_robots_rules(body, agent=agent) == [(True, "/a/b")]
+            assert parse_robots_crawl_delay(body, agent=agent) == 5
+        # every group naming the agent counts, in file order, even when
+        # one of them also names *
+        body2 = (
+            "User-agent: *\nDisallow: /star\n"
+            "User-agent: foo\nUser-agent: *\nDisallow: /both\n"
+            "User-agent: foo\nAllow: /own\n"
+        )
+        assert parse_robots_rules(body2, agent="foo") == [(False, "/both"), (True, "/own")]
+        assert parse_robots_rules(body2) == [(False, "/star"), (False, "/both")]
+        # a group that names the agent but holds no delay still replaces *
+        assert parse_robots_crawl_delay("User-agent: *\nCrawl-delay: 5\nUser-agent: foo\nDisallow: /x\n", "foo") is None
+
     def test_longest_match_precedence(self):
         from pdf_extractor_ray.functions.urls import robots_path_allowed as f
 

@@ -7,6 +7,7 @@ Usage: python tools/check_oracle.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 
 import duckdb
@@ -58,7 +59,8 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the checkout this script belongs to, not whichever one is installed
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
