@@ -1929,7 +1929,7 @@ FROM d, l1
 """
 
 
-def benford_values(sf_dir: str) -> "ray.data.Dataset":
+def benford_values(sf_dir: str) -> "pd.DataFrame":
     """Benford first-digit screen over event values (in cents) →
     ``(digit, n_events, share_milli)`` for digits 1-9 — synthetic or
     fabricated numeric columns flunk Benford's log-law long before a

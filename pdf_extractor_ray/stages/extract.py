@@ -7,9 +7,12 @@ processes across tasks, so it is built once per worker, never per
 batch or per document — the fix for the reference's per-document
 schema refetch (``core/extractor.py:222-223``, see SURVEY.md §4.4.1).
 
-Batches are ``pyarrow`` (zero-copy in); per-document parsing is
-inherently per-row Python (same as any layout parser), but all column
-assembly is Arrow (``stages.schema.records_to_arrow``).
+Batches are ``pyarrow`` and come straight from the footer-planned
+read fused into the same task (``pipelines.flagship.read_pages``), so
+page bytes never pass through the object store; extra input columns
+(the read's ``path``) are ignored. Per-document parsing is inherently
+per-row Python (same as any layout parser), but all column assembly is
+Arrow (``stages.schema.records_to_arrow``).
 """
 
 from __future__ import annotations

@@ -9,13 +9,15 @@ commit semantics:
 - on start the driver loads the manifest and anti-joins the input
   partition list (the J5 resume anti-join of SURVEY.md §2.5) — only
   uncommitted partitions run;
-- all pending partitions run in ONE streaming Ray Data execution:
-  ``read_parquet(include_paths=True)`` sized from the Parquet footers
-  (``pipelines.flagship.read_pages``) → one ``map_batches`` stage that
-  extracts each batch, splits it by partition, writes
-  ``<out>/part=<pid>.tmp/<uuid>.parquet`` (quarantined rows also to
+- all pending partitions run in ONE streaming Ray Data execution
+  (``write_parts_dataset``): the footer-planned read of
+  ``pipelines.flagship.read_pages`` (one task per file, batches of
+  one input file) fused with ``write_partition_parts``, which extracts
+  each batch, writes it to ``<out>/part=<pid>.tmp/<uuid>.parquet``
+  (quarantined rows also to
   ``part=<pid>.tmp/_quarantine/<uuid>.parquet``) and returns one small
-  count row per partition;
+  count row. Page bytes are read, extracted and written inside one
+  task; only count rows reach the driver;
 - the driver consumes the count rows on its own thread
   (``prefetch_batches=0``, so no block is held back) and sums them per
   partition. When a partition's sum reaches its footer row count it
@@ -106,7 +108,7 @@ def fileset_hash(paths: list[str]) -> str:
     return content_hash("\n".join(sig))
 
 
-# one row per (batch, partition) returned by ``write_partition_parts``
+# one row per batch returned by ``write_partition_parts``
 COUNT_SCHEMA = pa.schema(
     [
         ("pid", pa.string()),
@@ -123,43 +125,53 @@ COUNT_SCHEMA = pa.schema(
 
 def write_partition_parts(batch: pa.Table, out_dir: str, pid_of: dict[str, str]) -> pa.Table:
     """Map stage of the partitioned run: extract one ``(url, html,
-    path)`` batch, write each partition's rows (and its quarantined
-    rows) to a new file under ``part=<pid>.tmp``, and return one count
-    row per partition. A batch can hold rows of two files, so it is
-    split by ``pid_of[path]`` first."""
-    paths = batch.column("path")
-    groups: dict[str, list[str]] = {}
-    for path in pc.unique(paths).to_pylist():
-        groups.setdefault(pid_of[path], []).append(path)
-    counts = []
-    for pid, pid_paths in groups.items():
-        rows = batch if len(groups) == 1 else batch.filter(pc.is_in(paths, pa.array(pid_paths)))
-        t0 = time.monotonic()
-        out = extract_all_batch(rows)
-        seconds = time.monotonic() - t0
-        status = out.column("status")
-        quarantined = pc.starts_with(status, "quarantined")
-        n_quarantined = pc.sum(quarantined.cast("int64")).as_py() or 0
-        tmp = os.path.join(out_dir, f"part={pid}.tmp")
-        name = f"{uuid.uuid4().hex}.parquet"
-        os.makedirs(tmp, exist_ok=True)
-        pq.write_table(out, os.path.join(tmp, name))
-        if n_quarantined:
-            os.makedirs(os.path.join(tmp, "_quarantine"), exist_ok=True)
-            pq.write_table(out.filter(quarantined), os.path.join(tmp, "_quarantine", name))
-        counts.append(
-            {
-                "pid": pid,
-                "file": name,
-                "n_rows": out.num_rows,
-                "n_ok": pc.sum(pc.equal(status, "ok").cast("int64")).as_py() or 0,
-                "n_quarantined": n_quarantined,
-                "n_bytes": pc.sum(out.column("n_bytes")).as_py() or 0,
-                "worker_id": os.getpid(),
-                "seconds": seconds,
-            }
-        )
-    return pa.Table.from_pylist(counts, schema=COUNT_SCHEMA)
+    path)`` batch of one input file, write its rows (and its
+    quarantined rows) to a new file under ``part=<pid>.tmp`` of the
+    file's partition, and return one count row."""
+    paths = pc.unique(batch.column("path")).to_pylist()
+    if len(paths) != 1:
+        raise ValueError(f"a batch must hold rows of one input file, got {paths}")
+    pid = pid_of[paths[0]]
+    t0 = time.monotonic()
+    out = extract_all_batch(batch)
+    seconds = time.monotonic() - t0
+    status = out.column("status")
+    quarantined = pc.starts_with(status, "quarantined")
+    n_quarantined = pc.sum(quarantined.cast("int64")).as_py() or 0
+    tmp = os.path.join(out_dir, f"part={pid}.tmp")
+    name = f"{uuid.uuid4().hex}.parquet"
+    os.makedirs(tmp, exist_ok=True)
+    pq.write_table(out, os.path.join(tmp, name))
+    if n_quarantined:
+        os.makedirs(os.path.join(tmp, "_quarantine"), exist_ok=True)
+        pq.write_table(out.filter(quarantined), os.path.join(tmp, "_quarantine", name))
+    count = {
+        "pid": pid,
+        "file": name,
+        "n_rows": out.num_rows,
+        "n_ok": pc.sum(pc.equal(status, "ok").cast("int64")).as_py() or 0,
+        "n_quarantined": n_quarantined,
+        "n_bytes": pc.sum(out.column("n_bytes")).as_py() or 0,
+        "worker_id": os.getpid(),
+        "seconds": seconds,
+    }
+    return pa.Table.from_pylist([count], schema=COUNT_SCHEMA)
+
+
+def write_parts_dataset(
+    footers: dict[str, list[tuple[int, int]]], out_dir: str, pid_of: dict[str, str], batch_size: int
+) -> "ray.data.Dataset":
+    """The partitioned run's one Dataset: the footer-planned read of
+    ``footers`` fused with ``write_partition_parts``; it yields only
+    count rows."""
+    from pdf_extractor_ray.pipelines.flagship import read_pages
+
+    return read_pages(footers, batch_size=batch_size).map_batches(
+        write_partition_parts,
+        batch_format="pyarrow",
+        batch_size=None,
+        fn_kwargs={"out_dir": out_dir, "pid_of": pid_of},
+    )
 
 
 def worker_metrics(counts: list[dict]) -> list[dict]:
@@ -226,7 +238,7 @@ def run_partitioned_extraction(
     """
     import ray
 
-    from pdf_extractor_ray.pipelines.flagship import read_footers, read_pages
+    from pdf_extractor_ray.pipelines.flagship import read_footers
     from pdf_extractor_ray.state.metrics import start_collector
 
     manifest = Manifest(out_dir)
@@ -246,11 +258,10 @@ def run_partitioned_extraction(
     for pid in to_run:
         shutil.rmtree(os.path.join(out_dir, f"part={pid}.tmp"), ignore_errors=True)
         expected[pid] = 0
-        for f, (rows, n_bytes) in read_footers([os.path.abspath(p) for p in parts[pid]]).items():
-            expected[pid] += rows
-            if rows:
-                footers[f] = (rows, n_bytes)
-                pid_of[f] = pid
+        for f, groups in read_footers([os.path.abspath(p) for p in parts[pid]]).items():
+            expected[pid] += sum(rows for rows, _ in groups)
+            footers[f] = groups
+            pid_of[f] = pid
 
     ran: list[str] = []
     last = time.monotonic()
@@ -289,13 +300,8 @@ def run_partitioned_extraction(
             commit(pid, [])
     counts: dict[str, list[dict]] = {pid: [] for pid in to_run}
     got = dict.fromkeys(to_run, 0)
-    if footers:
-        ds = read_pages(footers, batch_size=batch_size, include_paths=True).map_batches(
-            write_partition_parts,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            fn_kwargs={"out_dir": out_dir, "pid_of": pid_of},
-        )
+    if any(expected[pid] for pid in to_run):
+        ds = write_parts_dataset(footers, out_dir, pid_of, batch_size)
         # prefetch_batches=0: a prefetching iterator holds each block
         # until the next arrives, which delays every commit by one block
         for batch in ds.iter_batches(batch_format="pyarrow", batch_size=None, prefetch_batches=0):

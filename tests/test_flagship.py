@@ -100,41 +100,146 @@ def test_flagship_plan_is_shuffle_free(tmp_path):
     """The extraction path must never contain an all-to-all exchange —
     the zero-shuffle property is the core 100 TB claim; this pins it
     against future regressions (e.g. an accidental groupby/sort), and
-    pins the one-scan shape (no branch-and-union of the input)."""
-    from pdf_extractor_ray.pipelines.flagship import build_extraction_pipeline
+    pins the one-scan shape (no branch-and-union of the input). The
+    read fuses with its stage into ONE operator (no SplitBlocks), in
+    the extraction pipeline and in the partitioned runner alike, so
+    page bytes never pass through the object store."""
+    import re
+
+    from pdf_extractor_ray.pipelines.flagship import build_extraction_pipeline, read_footers
     from pdf_extractor_ray.sources.pages import write_pages_corpus
+    from pdf_extractor_ray.state.manifest import write_parts_dataset
+
+    def operators(stats: str) -> list[str]:
+        return re.findall(r"^Operator \d+ (.+?): ", stats, re.M)
 
     paths = write_pages_corpus(str(tmp_path / "p"), n_rows=300, n_files=2, seed=11)
-    ds = build_extraction_pipeline(paths, batch_size=64)
-    ds.take(5)  # execute enough to materialize the plan
+    ds = build_extraction_pipeline(paths, batch_size=64).materialize()
     stats = ds.stats()
-    for marker in ("AllToAll", "Sort", "Aggregate", "Join", "Union", "shuffle"):
+    for marker in ("AllToAll", "Sort", "Aggregate", "Join", "Union", "shuffle", "SplitBlocks"):
         assert marker not in stats, f"flagship plan gained a {marker} stage:\n{stats[:500]}"
+    (op,) = operators(stats)
+    assert op.startswith("Read") and op.endswith("->MapBatches(extract_all_batch)"), op
+    assert ds.count() == 300
+
+    pid_of = {f: f"{i:05d}" for i, f in enumerate(sorted(paths))}
+    runner = write_parts_dataset(read_footers(paths), str(tmp_path / "out"), pid_of, 64).materialize()
+    stats = runner.stats()
+    assert "SplitBlocks" not in stats, stats[:500]
+    (op,) = operators(stats)
+    assert op.startswith("Read") and op.endswith("->MapBatches(write_partition_parts)"), op
+    assert sum(runner.to_pandas()["n_rows"]) == 300
 
 
-def test_read_block_count_from_footers(tmp_path):
-    """Read blocks: one per batch of rows, more when the pruned columns
-    of a few mega rows exceed BLOCK_BYTES per block, never past the
-    max(4 × CPUs, 16) cap."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+def test_plan_reads_one_unit_per_file(tmp_path):
+    """Footers give rows and pruned bytes per row group; with at least
+    as many files as CPUs every file with rows is one whole unit,
+    whatever its row groups."""
+    from pdf_extractor_ray.pipelines.flagship import BLOCK_BYTES, plan_reads, read_footers
+    from pdf_extractor_ray.sources.pages import generate_pages_table
 
-    from pdf_extractor_ray.pipelines.flagship import BLOCK_BYTES, num_read_blocks, read_footers
-    from pdf_extractor_ray.sources.pages import write_pages_corpus
-
-    paths = write_pages_corpus(str(tmp_path / "p"), n_rows=1000, n_files=2, seed=11)
-    footers = read_footers(paths)
+    paths = []
+    for i, (rows, rg) in enumerate([(1000, 256), (300, 1000)]):
+        paths.append(str(tmp_path / f"p{i}.parquet"))
+        pq.write_table(generate_pages_table(rows, seed=i), paths[-1], row_group_size=rg)
+    footers = read_footers(str(tmp_path))  # a directory expands to its files
     assert sorted(footers) == sorted(paths)
-    rows = sum(r for r, _ in footers.values())
-    n_bytes = sum(b for _, b in footers.values())
-    assert rows == 1000 and 0 < n_bytes < BLOCK_BYTES
-    assert num_read_blocks(rows, n_bytes, 256, n_cpus=1) == 4  # ceil(1000 / 256)
-    assert num_read_blocks(rows, n_bytes, 7, n_cpus=1) == 16  # ceil(1000 / 7) = 143, capped
-    assert num_read_blocks(rows, n_bytes, 7, n_cpus=8) == 32
-    assert num_read_blocks(0, 0, 256, n_cpus=1) == 1
+    assert [r for r, _ in footers[paths[0]]] == [256, 256, 256, 232]
+    assert [r for r, _ in footers[paths[1]]] == [300]
+    assert all(0 < b < BLOCK_BYTES for groups in footers.values() for _, b in groups)
+    units = plan_reads(footers, n_cpus=1, batch_size=64)
+    assert [(u.path, u.start, u.stop, u.step, u.row_groups, u.first_row) for u in units] == [
+        (paths[0], 0, 1000, 64, (0, 1, 2, 3), 0),
+        (paths[1], 0, 300, 64, (0,), 0),
+    ]
+    assert sum(u.n_bytes for u in units) == sum(b for groups in footers.values() for _, b in groups)
+    assert plan_reads(footers, n_cpus=2, batch_size=64) == units  # as many files as CPUs: no split
 
-    mega = 24 << 20
+
+def test_plan_reads_splits_files_for_cpus():
+    """Fewer files than CPUs: files are cut at batch boundaries into
+    ranges of about total rows / CPUs, never below one batch, until
+    there are at least as many units as CPUs (or one per batch). The
+    units cover every row of every file exactly once and read only the
+    row groups that hold their rows."""
+    import itertools
+    import math
+
+    from pdf_extractor_ray.pipelines.flagship import plan_reads
+
+    footers = {"a": [(1000, 10_000)], "b": [(7, 70), (0, 0), (300, 3000)], "c": [(5, 50)]}
+    n_batches = sum(math.ceil(sum(r for r, _ in groups) / 64) for groups in footers.values())
+    assert n_batches == 16 + 5 + 1
+    for n_cpus in (1, 2, 3, 4, 8, 32, 5000):
+        units = plan_reads(footers, n_cpus, batch_size=64)
+        assert min(n_cpus, n_batches) <= len(units) <= n_batches, n_cpus
+        for path, groups in footers.items():
+            own = [u for u in units if u.path == path]
+            ends = list(itertools.accumulate(r for r, _ in groups))
+            assert [u.start for u in own] == [0] + [u.stop for u in own[:-1]], (n_cpus, own)
+            assert own[-1].stop == ends[-1]
+            for u in own:
+                assert u.step == 64 and u.start % 64 == 0
+                assert u.stop - u.start >= 64 or u is own[-1], (n_cpus, u)  # never below one batch
+                assert u.row_groups == tuple(
+                    g for g, ((r, _), e) in enumerate(zip(groups, ends)) if r and u.start < e and e - r < u.stop
+                )
+                assert u.first_row == ends[u.row_groups[0]] - groups[u.row_groups[0]][0]
+    assert len(plan_reads(footers, 5000, batch_size=64)) == n_batches
+    assert len(plan_reads(footers, 3, batch_size=64)) == 3  # one unit per file
+
+
+def test_read_units_batch_across_row_groups(tmp_path):
+    """Files written in 3-row row groups read as batches of batch_size
+    rows that cross row groups but never files, ceil(rows / batch_size)
+    per file however the run is split for CPUs, every row once and in
+    file order."""
+    from pdf_extractor_ray.pipelines.flagship import plan_reads, read_footers, read_unit
+    from pdf_extractor_ray.sources.pages import generate_pages_table
+
+    table = generate_pages_table(20, seed=4)
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"p{i}.parquet"))
+        pq.write_table(table.slice(10 * i, 10), paths[-1], row_group_size=3)
+    footers = read_footers(paths)
+    for n_cpus in (1, 3, 8):
+        units = plan_reads(footers, n_cpus, batch_size=4)
+        for path in paths:
+            batches = [b for u in units if u.path == path for b in read_unit(u)]
+            assert [b.num_rows for b in batches] == [4, 4, 2], n_cpus
+            assert all(b.column("path").to_pylist() == [path] * b.num_rows for b in batches)
+            got = pa.concat_tables(batches).column("url").to_pylist()
+            assert got == pq.read_table(path).column("url").to_pylist(), n_cpus
+
+
+def test_plan_reads_skips_empty_files_and_row_groups(tmp_path):
+    from pdf_extractor_ray.pipelines.flagship import plan_reads, read_footers
+    from pdf_extractor_ray.sources.pages import generate_pages_table
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(generate_pages_table(0, seed=1), empty)
+    (groups,) = read_footers([empty]).values()
+    assert sum(r for r, _ in groups) == 0
+    assert plan_reads({empty: groups}, n_cpus=1, batch_size=64) == []
+    assert plan_reads({empty: groups}, n_cpus=8, batch_size=64) == []
+    for n_cpus in (1, 8):
+        units = plan_reads({"a": [(0, 0), (4, 40), (0, 0)], "b": [], "c": [(0, 0)]}, n_cpus, batch_size=64)
+        assert [(u.path, u.start, u.stop, u.row_groups, u.first_row) for u in units] == [("a", 0, 4, (1,), 0)]
+    assert plan_reads({}, n_cpus=4, batch_size=64) == []
+
+
+def test_mega_rows_read_in_batches_under_block_bytes(tmp_path):
+    """5 rows of 24 MiB (120 MiB in one row group): batches of the read
+    hold at most BLOCK_BYTES of pages, where batch_size alone would give
+    one 120 MiB batch. Small rows keep batch_size."""
+    import pyarrow.compute as pc
+
+    from pdf_extractor_ray.pipelines.flagship import BLOCK_BYTES, plan_reads, read_footers, read_unit
+    from pdf_extractor_ray.sources.pages import generate_pages_table
+
     path = str(tmp_path / "mega.parquet")
+    mega = 24 << 20
     pq.write_table(
         pa.table(
             {
@@ -145,6 +250,22 @@ def test_read_block_count_from_footers(tmp_path):
         ),
         path,
     )
-    (mega_rows, mega_bytes), = read_footers([path]).values()
-    assert mega_rows == 5 and mega_bytes >= 5 * mega
-    assert num_read_blocks(mega_rows, mega_bytes, 256, n_cpus=1) == 2  # 120 MiB / 64 MiB; rows alone give 1
+    ((rows, n_bytes),) = read_footers([path])[path]
+    assert rows == 5 and n_bytes >= 5 * mega
+    (unit,) = plan_reads(read_footers([path]), n_cpus=1, batch_size=256)
+    batches = list(read_unit(unit))
+    assert [b.num_rows for b in batches] == [2, 2, 1]
+    assert all(pc.sum(pc.binary_length(b.column("html"))).as_py() <= BLOCK_BYTES for b in batches)
+    assert all(b.column("path").to_pylist() == [path] * b.num_rows for b in batches)
+    assert pa.concat_tables(batches).column("url").to_pylist() == pq.read_table(path).column("url").to_pylist()
+    # split for 5 CPUs: ranges of one batch each, not one per row
+    units = plan_reads(read_footers([path]), n_cpus=5, batch_size=256)
+    assert [(u.start, u.stop) for u in units] == [(0, 2), (2, 4), (4, 5)]
+    assert [b.column("url").to_pylist() for u in units for b in read_unit(u)] == [
+        b.column("url").to_pylist() for b in batches
+    ]
+
+    small = str(tmp_path / "small.parquet")
+    pq.write_table(generate_pages_table(600, seed=2), small)
+    (unit,) = plan_reads(read_footers([small]), n_cpus=1, batch_size=256)
+    assert [b.num_rows for b in read_unit(unit)] == [256, 256, 88]

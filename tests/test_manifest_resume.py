@@ -145,9 +145,9 @@ def test_empty_input_partition_commits(pages_corpus, tmp_path):
 
 
 def test_batches_straddle_partitions(tmp_path):
-    """5-row partitions with batch_size=7: batches hold rows of two
-    files, yet every row lands once, in its own partition, with the
-    oracle's text."""
+    """5-row partitions with batch_size=7: a batch would hold rows of two
+    files if it could, yet every row lands once, in its own partition,
+    with the oracle's text."""
     import collections
 
     import pyarrow as pa
@@ -161,11 +161,11 @@ def test_batches_straddle_partitions(tmp_path):
     run_partitioned_extraction(paths, out, batch_size=7)
     entries = Manifest(out).committed()
     assert len(entries) == 6
-    # a 5-row file read alone fits one 7-row batch, so a partition with
-    # two part files took rows from a batch shared with another file
-    n_files = [len(os.listdir(os.path.join(out, f"part={pid}"))) for pid in entries]
-    assert max(n_files) > 1, f"no batch straddled two files: {n_files}"
     for pid, (path,) in partition_inputs(paths).items():
+        own = set(pq.read_table(path).column("url").to_pylist())
+        for name in os.listdir(os.path.join(out, f"part={pid}")):
+            part_file = pq.read_table(os.path.join(out, f"part={pid}", name))
+            assert set(part_file.column("url").to_pylist()) <= own, f"part={pid}/{name} holds another partition's rows"
         part = pads.dataset(os.path.join(out, f"part={pid}")).to_table()
         assert entries[pid]["n_rows"] == pq.read_metadata(path).num_rows == part.num_rows == 5
         assert sorted(part.column("url").to_pylist()) == sorted(pq.read_table(path).column("url").to_pylist())
@@ -177,6 +177,58 @@ def test_batches_straddle_partitions(tmp_path):
     assert dict(zip(table.column("url").to_pylist(), table.column("extracted_text").to_pylist())) == dict(
         zip(exp.column("url").to_pylist(), exp.column("extracted_text").to_pylist())
     )
+
+
+def test_small_row_groups_in_two_file_partitions(tmp_path):
+    """Two files per partition, row groups of 3 rows and batch_size=7:
+    batches cross row groups but never a file or a partition, each
+    10-row file gives ceil(10 / 7) part files whatever its row groups,
+    and every row lands once, in its own partition, with the oracle's
+    text and the manifest's sums."""
+    import collections
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.oracle import oracle_extract_table
+    from pdf_extractor_ray.sources.pages import generate_pages_table
+
+    table = generate_pages_table(40, seed=9)
+    paths = []
+    for i in range(4):
+        paths.append(str(tmp_path / f"pages_{i}.parquet"))
+        pq.write_table(table.slice(10 * i, 10), paths[-1], row_group_size=3)
+    out = str(tmp_path / "out_rg")
+    run_partitioned_extraction(paths, out, files_per_partition=2, batch_size=7)
+    entries = Manifest(out).committed()
+    parts = partition_inputs(paths, 2)
+    assert sorted(entries) == sorted(parts) == ["00000", "00001"]
+    exp = oracle_extract_table(table)
+    exp_text = dict(zip(exp.column("url").to_pylist(), exp.column("extracted_text").to_pylist()))
+    for pid, group in parts.items():
+        own = pa.concat_tables([pq.read_table(p) for p in group]).column("url").to_pylist()
+        part = pads.dataset(os.path.join(out, f"part={pid}")).to_table()
+        assert collections.Counter(part.column("url").to_pylist()) == collections.Counter(own)
+        assert dict(zip(part.column("url").to_pylist(), part.column("extracted_text").to_pylist())) == {
+            u: exp_text[u] for u in own
+        }
+        status = part.column("status").to_pylist()
+        e = entries[pid]
+        assert e["n_rows"] == part.num_rows == 20
+        assert e["n_ok"] == status.count("ok")
+        assert e["n_quarantined"] == sum(s.startswith("quarantined") for s in status)
+        assert e["n_bytes"] == sum(part.column("n_bytes").to_pylist())
+        assert sum(m["docs"] for m in e["worker_metrics"]) == 20
+        assert sum(m["failures"] for m in e["worker_metrics"]) == e["n_quarantined"]
+        files = {p: set(pq.read_table(p).column("url").to_pylist()) for p in group}
+        sizes = []
+        for name in os.listdir(os.path.join(out, f"part={pid}")):
+            part_file = pq.read_table(os.path.join(out, f"part={pid}", name))
+            urls = set(part_file.column("url").to_pylist())
+            assert any(urls <= u for u in files.values()), f"part={pid}/{name} holds rows of two files"
+            sizes.append(part_file.num_rows)
+        assert sorted(sizes) == [3, 3, 7, 7]
+    assert _read_all(out).num_rows == 40
 
 
 def test_stray_part_files_dropped_at_commit(pages_corpus, tmp_path, monkeypatch):
